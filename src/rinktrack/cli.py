@@ -182,15 +182,25 @@ def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int]) -> 
     return sum(1 for r in scored if r.identity == expected[r.track_id]) / len(scored)
 
 
-def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
-    tracks = core.rows_to_tracks(core.parse_detection_file(config.path("tracks")))
-    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
-    params = config.ident if method is None else replace(config.ident, method=method)
+def _file_scorers(config: RunConfig, vocab: core.ClassVocabulary) -> Scorers:
+    """The run's score files; jersey-score rows must have one entry per vocabulary class."""
     scorers = Scorers(
         team=FileTeamScorer(config.path("team_scores")),
         frame=FileFrameScorer(config.path("frame_scores")),
         window=FileWindowScorer(config.path("window_scores")),
     )
+    for scores in (scorers.frame.scores, scorers.window.scores):
+        if len(scores.values) and scores.width != vocab.num_classes:
+            raise ValidationError(f"{scores.path}: score rows have {scores.width} classes, "
+                                  f"vocabulary has {vocab.num_classes}")
+    return scorers
+
+
+def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
+    tracks = core.rows_to_tracks(core.parse_detection_file(config.path("tracks")))
+    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
+    params = config.ident if method is None else replace(config.ident, method=method)
+    scorers = _file_scorers(config, vocab)
     rosters = None
     if mask_rosters:
         home, away = core.load_rosters(config.path("rosters"))
@@ -359,11 +369,7 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
         frame_scorer, window_scorer, team_scorer = sim.oracle_scorers(bundle)
         scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
     else:
-        scorers = Scorers(
-            team=FileTeamScorer(config.path("team_scores")),
-            frame=FileFrameScorer(config.path("frame_scores")),
-            window=FileWindowScorer(config.path("window_scores")),
-        )
+        scorers = _file_scorers(config, vocab)
     rosters = None
     if mask_rosters:
         home, away = core.load_rosters(config.path("rosters"))

@@ -171,6 +171,8 @@ class ProbVector:
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValidationError("probability entries must lie in [0, 1]")
         total = float(arr.sum())
+        if not math.isfinite(total):  # NaN entries pass both comparisons above
+            raise ValidationError("probability entries must be finite")
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         arr = arr.copy()

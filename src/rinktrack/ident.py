@@ -14,14 +14,19 @@ synthetic oracles in :mod:`rinktrack.sim`.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .core import (
+    PROB_SUM_TOL,
     ClassVocabulary,
+    ParseError,
     ProbVector,
     RosterVector,
     TeamLabel,
@@ -294,52 +299,146 @@ def run_pipeline(tracks: Iterable[Track], scorers: Scorers, rosters: Rosters | N
 # File-backed scorers (JSON lines)
 # ---------------------------------------------------------------------------
 
+_KEY_LIMIT = 1 << 32
+_TRACK_LIMIT = 1 << 31
 
-def _load_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+
+def _pack(track_id: int, key: int) -> int | None:
+    """One int64 that sorts like ``(track_id, key)``; None when either is out of range."""
+    if -_TRACK_LIMIT <= track_id < _TRACK_LIMIT and 0 <= key < _KEY_LIMIT:
+        return track_id * _KEY_LIMIT + key
+    return None
+
+
+def _first_bad_row(values: np.ndarray) -> tuple[int, str] | None:
+    """First row of ``values`` that is not a distribution, with the reason; None if none.
+
+    In-place steps keep the temporaries small next to a 3-wide team row.
+    """
+    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # NaN fails both
+    sum_error = values.sum(axis=1)
+    sum_error -= 1.0
+    np.abs(sum_error, out=sum_error)
+    bad = np.flatnonzero(~in_range | ~(sum_error <= PROB_SUM_TOL))
+    if bad.size == 0:
+        return None
+    row = int(bad[0])
+    if not in_range[row]:
+        return row, "probability entries must be finite and lie in [0, 1]"
+    return row, f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {float(values[row].sum())!r}"
+
+
+class ScoreFile:
+    """A JSON-lines score file, validated and packed into one array as it is read.
+
+    Each non-blank line ``{"track_id": T, <key_field>: K, <probs_field>: [...]}``
+    becomes one row of :attr:`values`, a read-only ``(rows, width)`` float64
+    array. Lines are decoded one at a time straight into a flat buffer, so
+    no per-line record outlives its line. Rows are found by bisecting the
+    sorted packed ``(T, K)`` keys, which costs 16 bytes a row where a dict
+    of tuples would cost more than a whole team-score line.
+
+    Every row must be a distribution (finite entries in [0, 1] that sum to
+    1 within ``PROB_SUM_TOL``), all rows must have one width (``width`` if
+    given), and no ``(T, K)`` key may repeat. A violation raises
+    :class:`ParseError` or :class:`ValidationError` naming ``path:line``.
+    """
+
+    def __init__(self, path: str | Path, key_field: str, probs_field: str,
+                 width: int | None = None):
+        self.path = Path(path)
+        values, keys = array("d"), array("q")
+        with self.path.open() as lines:
+            for lineno, line in enumerate(lines, 1):
+                if not line.strip():
+                    continue
+                where = f"{self.path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                    track_id, key, probs = rec["track_id"], rec[key_field], rec[probs_field]
+                    values.extend(probs)
+                except KeyError as exc:
+                    raise ParseError(f"{where}: missing field {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"{where}: {exc}") from None
+                if width is None:
+                    width = len(probs)
+                if len(probs) != width:
+                    raise ValidationError(f"{where}: expected {width} probabilities, got {len(probs)}")
+                if type(track_id) is not int or type(key) is not int:  # int() would truncate 1.5
+                    raise ParseError(f"{where}: track_id and {key_field} must be integers")
+                packed = _pack(track_id, key)
+                if packed is None:
+                    raise ParseError(f"{where}: track_id or {key_field} out of range")
+                keys.append(packed)
+        self.width = width or 0
+        self.values = np.frombuffer(values, dtype=float).reshape(len(keys), self.width)
+        self.values.flags.writeable = False
+
+        value_problem = _first_bad_row(self.values)
+
+        # Sort the packed keys in place; _rows maps a sorted position to its row.
+        sorted_keys = np.frombuffer(keys, dtype=np.int64)
+        self._rows = np.argsort(sorted_keys, kind="stable")
+        sorted_keys.sort(kind="stable")
+        repeat_problem = None
+        dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if dup.size:
+            # The stable sort keeps repeats in file order: take the earliest repeat.
+            i = int(dup[np.argmin(self._rows[dup + 1])])
+            track_id, key = divmod(int(sorted_keys[i]), _KEY_LIMIT)
+            repeat_problem = (int(self._rows[i + 1]),
+                              f"duplicate key track_id {track_id}, {key_field} {key} "
+                              f"(first on line {self._line(int(self._rows[i]))})")
+        problems = [p for p in (value_problem, repeat_problem) if p is not None]
+        if problems:
+            row, reason = min(problems)
+            raise ValidationError(f"{self.path}:{self._line(row)}: {reason}")
+        self._keys = keys
+
+    def _line(self, row: int) -> int:
+        """1-based line number of the ``row``-th non-blank line."""
+        with self.path.open() as lines:
+            numbered = (n for n, line in enumerate(lines, 1) if line.strip())
+            return next(islice(numbered, row, None))
+
+    def get(self, track_id: int, key: int) -> np.ndarray | None:
+        """The row keyed ``(track_id, key)``, or None when the file has none."""
+        packed = _pack(track_id, key)
+        if packed is None:
+            return None
+        i = bisect_left(self._keys, packed)
+        if i < len(self._keys) and self._keys[i] == packed:
+            return self.values[self._rows[i]]
+        return None
 
 
 class FileFrameScorer:
     """Jersey-class frame scores from ``{"track_id", "frame", "probs"}`` lines."""
 
     def __init__(self, path: str | Path):
-        self._scores = {
-            (int(rec["track_id"]), int(rec["frame"])): np.asarray(rec["probs"], dtype=float)
-            for rec in _load_jsonl(path)
-        }
+        self.scores = ScoreFile(path, "frame", "probs")
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
-        key = (track.track_id, track.detections[index].frame)
-        try:
-            return self._scores[key]
-        except KeyError:
-            raise ScorerCoverageError(
-                f"no frame score for track {track.track_id} at frame {key[1]}"
-            ) from None
+        frame = track.detections[index].frame
+        probs = self.scores.get(track.track_id, frame)
+        if probs is None:
+            raise ScorerCoverageError(f"no frame score for track {track.track_id} at frame {frame}")
+        return probs
 
 
 class FileTeamScorer:
     """Team distributions from ``{"track_id", "frame", "team_probs"}`` lines."""
 
     def __init__(self, path: str | Path):
-        self._scores = {
-            (int(rec["track_id"]), int(rec["frame"])): np.asarray(rec["team_probs"], dtype=float)
-            for rec in _load_jsonl(path)
-        }
+        self.scores = ScoreFile(path, "frame", "team_probs", width=len(TeamLabel))
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
-        key = (track.track_id, track.detections[index].frame)
-        try:
-            return self._scores[key]
-        except KeyError:
-            raise ScorerCoverageError(
-                f"no team score for track {track.track_id} at frame {key[1]}"
-            ) from None
+        frame = track.detections[index].frame
+        probs = self.scores.get(track.track_id, frame)
+        if probs is None:
+            raise ScorerCoverageError(f"no team score for track {track.track_id} at frame {frame}")
+        return probs
 
 
 class FileWindowScorer:
@@ -349,19 +448,16 @@ class FileWindowScorer:
     """
 
     def __init__(self, path: str | Path):
-        self._scores = {
-            (int(rec["track_id"]), int(rec["window_start"])): np.asarray(rec["probs"], dtype=float)
-            for rec in _load_jsonl(path)
-        }
+        self.scores = ScoreFile(path, "window_start", "probs")
 
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
-        key = (track.track_id, track.detections[start].frame)
-        try:
-            return self._scores[key]
-        except KeyError:
+        frame = track.detections[start].frame
+        probs = self.scores.get(track.track_id, frame)
+        if probs is None:
             raise ScorerCoverageError(
-                f"no window score for track {track.track_id} starting at frame {key[1]}"
-            ) from None
+                f"no window score for track {track.track_id} starting at frame {frame}"
+            )
+        return probs
 
 
 _DEFAULT_COLOR_TO_TEAM = {"white": "away", "ref": "referee"}

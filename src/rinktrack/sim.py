@@ -251,27 +251,26 @@ class GroundTruthBundle:
         frame_scorer = self.frame_scorer()
         team_scorer = self.team_scorer()
         window_scorer = self.window_scorer()
-        frame_lines, team_lines, window_lines = [], [], []
-        for trk in self.gt_tracks:
-            for i, det in enumerate(trk.detections):
-                frame_lines.append(json.dumps({
-                    "track_id": trk.track_id, "frame": det.frame,
-                    "probs": frame_scorer.score_frame(trk, i).tolist(),
-                }))
-                team_lines.append(json.dumps({
-                    "track_id": trk.track_id, "frame": det.frame,
-                    "team_probs": team_scorer.score_frame(trk, i).tolist(),
-                }))
-            for start in window_starts(len(trk), self.config.window, self.config.stride):
-                length = min(self.config.window, len(trk))
-                window_lines.append(json.dumps({
-                    "track_id": trk.track_id,
-                    "window_start": trk.detections[start].frame,
-                    "probs": window_scorer.score_window(trk, start, length).tolist(),
-                }))
-        (out / files["frame_scores"]).write_text("\n".join(frame_lines) + "\n" if frame_lines else "")
-        (out / files["team_scores"]).write_text("\n".join(team_lines) + "\n" if team_lines else "")
-        (out / files["window_scores"]).write_text("\n".join(window_lines) + "\n" if window_lines else "")
+        with (out / files["frame_scores"]).open("w") as frame_file, \
+                (out / files["team_scores"]).open("w") as team_file, \
+                (out / files["window_scores"]).open("w") as window_file:
+            for trk in self.gt_tracks:
+                for i, det in enumerate(trk.detections):
+                    frame_file.write(json.dumps({
+                        "track_id": trk.track_id, "frame": det.frame,
+                        "probs": frame_scorer.score_frame(trk, i).tolist(),
+                    }) + "\n")
+                    team_file.write(json.dumps({
+                        "track_id": trk.track_id, "frame": det.frame,
+                        "team_probs": team_scorer.score_frame(trk, i).tolist(),
+                    }) + "\n")
+                for start in window_starts(len(trk), self.config.window, self.config.stride):
+                    length = min(self.config.window, len(trk))
+                    window_file.write(json.dumps({
+                        "track_id": trk.track_id,
+                        "window_start": trk.detections[start].frame,
+                        "probs": window_scorer.score_window(trk, start, length).tolist(),
+                    }) + "\n")
 
         truth_payload = {
             "tracks": {

@@ -166,6 +166,30 @@ class TestIdentify:
         assert "track 101" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["frame_scores.jsonl", "window_scores.jsonl"])
+    def test_score_width_must_match_vocabulary(self, workspace, capsys, name):
+        tmp_path, config, bundle_dir = workspace
+        # Drop the null class and renormalise: valid rows, one class short.
+        path = bundle_dir / name
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            probs = row["probs"][:-1]
+            row["probs"] = [p / sum(probs) for p in probs]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: score rows have 12 classes, vocabulary has 13" in err
+
+    def test_invalid_score_line_exits_1_naming_it(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        path = bundle_dir / "team_scores.jsonl"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].replace('"team_probs": [', '"team_probs": [NaN, ', 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"{path}:5: " in capsys.readouterr().err
+
+
 class TestEval:
     def test_self_evaluation_perfect_row(self, workspace):
         tmp_path, config, _ = workspace

@@ -151,6 +151,15 @@ class TestProbVector:
         with pytest.raises(ValidationError):
             ProbVector(values=np.array([1.2, -0.2]))
 
+    def test_rejects_nonfinite(self):
+        # NaN fails neither range comparison and makes the sum NaN, which
+        # compares False against the tolerance: it used to construct.
+        for bad in ([np.nan, 0.25, 0.25, 0.25], [np.nan, 0.5, 0.5], [np.inf, 0.0], [-np.inf, 1.0]):
+            with pytest.raises(ValidationError):
+                ProbVector(values=np.array(bad))
+        with pytest.raises(ValidationError, match="finite"):
+            ProbVector(values=np.array([np.nan, 0.25, 0.25, 0.25]))
+
     def test_values_frozen(self):
         p = ProbVector(values=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

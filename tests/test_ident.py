@@ -9,6 +9,7 @@ from rinktrack.core import (
     BoundingBox,
     ClassVocabulary,
     Detection,
+    ParseError,
     ProbVector,
     TeamLabel,
     Track,
@@ -335,6 +336,131 @@ class TestFileScorers:
         self._write_jsonl(path, [{"track_id": 2, "frame": 0, "team_probs": [0.1, 0.8, 0.1]}])
         scorer = FileTeamScorer(path)
         assert scorer.score_frame(make_track(track_id=2, length=1), 0).tolist() == [0.1, 0.8, 0.1]
+
+    def test_rows_found_in_any_file_order(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        self._write_jsonl(path, [
+            {"track_id": 7, "frame": 1, "probs": [0.0, 1.0]},
+            {"track_id": -2, "frame": 3, "probs": [0.5, 0.5]},
+            {"track_id": 7, "frame": 0, "probs": [1.0, 0.0]},
+        ])
+        scorer = FileFrameScorer(path)
+        trk = make_track(track_id=7, length=2)
+        assert scorer.score_frame(trk, 0).tolist() == [1.0, 0.0]
+        assert scorer.score_frame(trk, 1).tolist() == [0.0, 1.0]
+        assert scorer.score_frame(make_track(track_id=-2, length=1, start=3), 0).tolist() == [0.5, 0.5]
+        assert scorer.scores.values.shape == (3, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-5, 5), st.integers(0, 2**32 - 1)),
+                           st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3), max_size=30),
+           st.randoms())
+    def test_any_order_round_trip(self, tmp_path_factory, rows, rng):
+        rows = {key: [w / sum(weights) for w in weights] for key, weights in rows.items()}
+        lines = []
+        for (track_id, frame), probs in rng.sample(sorted(rows.items()), len(rows)):
+            lines.append(json.dumps({"track_id": track_id, "frame": frame, "probs": probs}))
+            if rng.random() < 0.2:
+                lines.append("")
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        scores = FileFrameScorer(path).scores
+        for (track_id, frame), probs in rows.items():
+            assert scores.get(track_id, frame).tolist() == probs
+            if (track_id, frame + 1) not in rows:
+                assert scores.get(track_id, frame + 1) is None
+        assert scores.get(6, 0) is None
+
+    def test_rows_are_read_only(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        self._write_jsonl(path, [{"track_id": 1, "frame": 0, "probs": [0.5, 0.5]}])
+        probs = FileFrameScorer(path).score_frame(make_track(track_id=1, length=1), 0)
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "teams.jsonl"
+        path.write_text('\n{"track_id": 2, "frame": 0, "team_probs": [0.1, 0.8, 0.1]}\n   \n\n'
+                        '{"track_id": 2, "frame": 1, "team_probs": [0.8, 0.1, 0.1]}\n\n')
+        scorer = FileTeamScorer(path)
+        trk = make_track(track_id=2, length=2)
+        assert scorer.score_frame(trk, 1).tolist() == [0.8, 0.1, 0.1]
+        assert len(scorer.scores.values) == 2
+
+    def test_empty_file_covers_nothing(self, tmp_path):
+        path = tmp_path / "windows.jsonl"
+        path.write_text("")
+        scorer = FileWindowScorer(path)
+        assert scorer.scores.values.shape == (0, 0)
+        with pytest.raises(ScorerCoverageError,
+                           match=r"^no window score for track 1 starting at frame 0$"):
+            scorer.score_window(make_track(track_id=1, length=1), 0, 1)
+
+    def test_team_coverage_error_text(self, tmp_path):
+        path = tmp_path / "teams.jsonl"
+        self._write_jsonl(path, [{"track_id": 2, "frame": 0, "team_probs": [0.1, 0.8, 0.1]}])
+        scorer = FileTeamScorer(path)
+        with pytest.raises(ScorerCoverageError, match=r"^no team score for track 2 at frame 4$"):
+            scorer.score_frame(make_track(track_id=2, length=1, start=4), 0)
+        with pytest.raises(ScorerCoverageError, match=r"^no team score for track 5 at frame 0$"):
+            scorer.score_frame(make_track(track_id=5, length=1), 0)
+
+    # Line 1 is valid; the second record, on line 3 after a blank line, is bad.
+    @pytest.mark.parametrize("cls, bad, error, message", [
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [NaN, 0.5, 0.5]}',
+         ValidationError, "finite and lie in"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [Infinity, 0.0, 0.0]}',
+         ValidationError, "finite and lie in"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [1.5, -0.5, 0.0]}',
+         ValidationError, "finite and lie in"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [0.5, 0.25, 0.2]}',
+         ValidationError, "sum to 1"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [0.5, 0.5]}',
+         ValidationError, "expected 3 probabilities, got 2"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 0, "probs": [0.0, 0.0, 1.0]}',
+         ValidationError, "duplicate key track_id 1, frame 0 .first on line 1."),
+        (FileWindowScorer, '{"track_id": 1, "window_start": 0, "probs": [0.0, 0.0, 1.0]}',
+         ValidationError, "duplicate key track_id 1, window_start 0"),
+        (FileTeamScorer, '{"track_id": 1, "frame": 1, "team_probs": [0.5, 0.5]}',
+         ValidationError, "expected 3 probabilities, got 2"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [0.5, 0.5, 0.0]',
+         ParseError, ""),
+        (FileFrameScorer, '{"track_id": 1, "probs": [0.5, 0.5, 0.0]}',
+         ParseError, "missing field 'frame'"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": ["a", "b", "c"]}',
+         ParseError, ""),
+        (FileFrameScorer, '{"track_id": 1, "frame": -1, "probs": [0.5, 0.5, 0.0]}',
+         ParseError, "out of range"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1.5, "probs": [0.5, 0.5, 0.0]}',
+         ParseError, "must be integers"),
+        (FileWindowScorer, '{"track_id": "1", "window_start": 1, "probs": [0.5, 0.5, 0.0]}',
+         ParseError, "must be integers"),
+    ])
+    def test_rejection_names_file_and_line(self, tmp_path, cls, bad, error, message):
+        key, field = (("window_start", "probs") if cls is FileWindowScorer
+                      else ("frame", "team_probs") if cls is FileTeamScorer else ("frame", "probs"))
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({"track_id": 1, key: 0, field: [0.25, 0.25, 0.5]}) + "\n\n"
+                        + bad + "\n")
+        with pytest.raises(error, match=f"^{path}:3: .*{message}"):
+            cls(path)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        self._write_jsonl(path, [
+            {"track_id": 1, "frame": 0, "probs": [0.5, 0.5]},
+            {"track_id": 1, "frame": 2, "probs": [0.5, 0.5]},
+            {"track_id": 1, "frame": 1, "probs": [0.5, 0.6]},
+            {"track_id": 1, "frame": 2, "probs": [0.5, 0.5]},
+            {"track_id": 1, "frame": 1, "probs": [0.5, 0.5]},
+            {"track_id": 1, "frame": 3, "probs": [0.9, 0.9]},
+        ])
+        with pytest.raises(ValidationError, match=f"^{path}:3: .*sum to 1"):
+            FileFrameScorer(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        with pytest.raises(ValidationError, match=f"^{path}:3: duplicate key .*first on line 2"):
+            FileFrameScorer(path)
 
 
 class TestRunPipeline:

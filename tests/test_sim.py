@@ -1,11 +1,22 @@
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rinktrack.core import ProbVector, ValidationError, parse_detection_file
-from rinktrack.ident import IdentParams, Rosters, Scorers, jersey_visible, run_pipeline
+from rinktrack.ident import (
+    FileFrameScorer,
+    FileTeamScorer,
+    FileWindowScorer,
+    IdentParams,
+    Rosters,
+    Scorers,
+    jersey_visible,
+    run_pipeline,
+)
 from rinktrack.metrics import pan_idsw, pan_sweep
 from rinktrack.sim import ConfusionSpec, ScenarioConfig, generate, oracle_scorers
 from rinktrack.core import build_roster_vector
@@ -31,6 +42,30 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def emission_config():
+    """A small game with pan and noise on and the default 86-class vocabulary."""
+    return ScenarioConfig(
+        players_per_team=4, num_referees=1, duration=120,
+        pan_profile=((0, 0.0), (40, 0.0), (70, 400.0), (100, 400.0), (119, 0.0)),
+        jitter_sigma=1.0, fp_rate=0.05, fn_rate=0.05, visibility_profile=0.5,
+        null_tracklet_rate=0.3, team_noise=0.1, window=10, stride=2,
+        home_roster=(6, 8, 11, 14),
+        confusion={6: ConfusionSpec(substitute=8, prob=0.5, strength=0.5)},
+    )
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes traced while it ran, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestScenarioConfig:
@@ -155,11 +190,59 @@ class TestEmittedFiles:
             assert len(probs) == 3
             assert abs(sum(probs) - 1.0) < 1e-6
 
+    # SHA-256 of every emitted file except bundle.json, which embeds the
+    # output directory. Recorded from the writer that joined whole files in
+    # memory; the streaming writer must reproduce them byte for byte.
+    GOLDEN_SHA256 = {
+        "det.csv": "13c890ee0b73cfde78f0d347b22f9deedcea926ecc3fccb00702ac88f3ed6a77",
+        "frame_scores.jsonl": "07f41a20dc18df3626719fa240b057678e81c13c57c6d37089e30f74906511fc",
+        "gt.csv": "9904b9275eaba233501cace7993493e263a375226b2a33cd07d0844944bdd99d",
+        "rosters.json": "826faab8ce06d964ac46094d98f5ff68f99bb02245aca327609b5ada29d9eb66",
+        "team_scores.jsonl": "3dddafc78201f52a3e8d3df87ec651ea992aacf6941febdf85de0a3991dac2b1",
+        "truth.json": "cd684bc7c8a45fc1fbddc12ad0f83c7c99ba2e04031d283d33e8bb568d20e64b",
+        "vocab.json": "a2ca128ca79671fbc4eb61c703cc370762f893c28b1de49d9f8e2a454c961a73",
+        "window_scores.jsonl": "24220a54054bd23500809e139315ea30921d0878236ca6f9a06339445f141b6e",
+    }
+
+    def test_written_bytes_match_golden_hashes(self, tmp_path):
+        generate(emission_config(), seed=42).write(tmp_path)
+        emitted = {p.name for p in tmp_path.iterdir()} - {"bundle.json"}
+        assert emitted == set(self.GOLDEN_SHA256)
+        for name, digest in self.GOLDEN_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_manifest_lists_all_files(self, tmp_path):
         manifest = generate(small_config(), seed=1).write(tmp_path)
         for path in manifest["files"].values():
             assert Path(path).exists()
         assert json.loads((tmp_path / "bundle.json").read_text()) == manifest
+
+
+class TestScoreFileMemory:
+    """Score files stream: neither end holds a whole file's text or records."""
+
+    @pytest.fixture(scope="class")
+    def bundle_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bundle")
+        generate(emission_config(), seed=42).write(out)
+        return out
+
+    def test_write_peak_below_quarter_of_frame_scores(self, tmp_path):
+        bundle = generate(emission_config(), seed=42)
+        _, peak = traced_peak(lambda: bundle.write(tmp_path))
+        size = (tmp_path / "frame_scores.jsonl").stat().st_size
+        assert peak < size / 4, (peak, size)
+
+    @pytest.mark.parametrize("cls, name", [
+        (FileFrameScorer, "frame_scores.jsonl"),
+        (FileTeamScorer, "team_scores.jsonl"),
+        (FileWindowScorer, "window_scores.jsonl"),
+    ])
+    def test_load_peak_below_file_size(self, bundle_dir, cls, name):
+        path = bundle_dir / name
+        scorer, peak = traced_peak(lambda: cls(path))
+        assert len(scorer.scores.values) == len(path.read_text().splitlines())
+        assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 class TestOracleScorers:

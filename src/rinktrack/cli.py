@@ -311,27 +311,28 @@ def _write_report(out_dir: Path, report: metrics.EvalReport,
 def cmd_eval(config: RunConfig, out_dir: Path, extra: dict | None = None) -> int:
     videos = _eval_videos(config)
     grouped = []
-    pan_rows = []
-    sweep_rows = []
+    gt_tracks = []
     mparams = config.metrics
     for name, gt_rows, pred_rows in videos:
         gt_rows, pred_rows = _clip_to_overlap(name, gt_rows, pred_rows)
         grouped.append((name,
                         core.group_boxes_by_frame(gt_rows),
                         core.group_boxes_by_frame(pred_rows)))
-        gt_tracks = core.rows_to_tracks(gt_rows)
-        row, _ = metrics.evaluate_video(name, grouped[-1][1], grouped[-1][2], mparams.iou_threshold)
+        gt_tracks.append(core.rows_to_tracks(gt_rows))
+    report = metrics.evaluate(grouped, mparams.iou_threshold)
+    pan_rows = []
+    sweep_rows = []
+    for row, tracks in zip(report.per_video, gt_tracks):
         pan_rows.append({
-            "name": name,
-            "pan_idsw": metrics.pan_idsw(gt_tracks, mparams.delta),
-            "proportion": metrics.pan_proportion(gt_tracks, row.idsw, mparams.delta),
+            "name": row.name,
+            "pan_idsw": metrics.pan_idsw(tracks, mparams.delta),
+            "proportion": metrics.pan_proportion(tracks, row.idsw, mparams.delta),
         })
-        for delta, count in metrics.pan_sweep(gt_tracks, mparams.sweep):
+        for delta, count in metrics.pan_sweep(tracks, mparams.sweep):
             sweep_rows.append({
-                "video": name, "delta": delta, "pan_idsw": count,
+                "video": row.name, "delta": delta, "pan_idsw": count,
                 "proportion": None if row.idsw == 0 else count / row.idsw,
             })
-    report = metrics.evaluate(grouped, mparams.iou_threshold)
     _write_report(out_dir, report, pan_rows, mparams, sweep_rows, extra)
     print(metrics.format_report_table(report), end="")
     print(f"report -> {out_dir / 'report.json'}")

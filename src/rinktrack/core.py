@@ -27,7 +27,7 @@ class ValidationError(ValueError):
     """Parsed values violate a domain invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned pixel box given by its top-left corner and size."""
 
@@ -37,7 +37,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+        isfinite = math.isfinite
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
             raise ValidationError(f"box coordinates must be finite: {self}")
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box width/height must be positive: w={self.w}, h={self.h}")
@@ -59,7 +60,7 @@ class BoundingBox:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One observed box on one frame."""
 
@@ -74,7 +75,7 @@ class Detection:
             raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Track:
     """Time-ordered detections sharing one tracker identity."""
 

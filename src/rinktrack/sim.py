@@ -12,6 +12,8 @@ ground-truthed and deterministic given (config, seed).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -85,8 +87,35 @@ class ScenarioConfig:
         bad = {k: v for k, v in rates.items() if not 0.0 <= v <= 1.0}
         if bad:
             raise ValidationError(f"rates must lie in [0, 1]: {bad}")
-        if self.duration < 1:
-            raise ValidationError("duration must be >= 1 frame")
+        least = {"players_per_team": 1, "num_referees": 0, "duration": 1,
+                 "fps": 1, "window": 1, "stride": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("camera_width", "camera_height", "box_width", "box_height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        for box, camera in (("box_width", "camera_width"), ("box_height", "camera_height")):
+            if getattr(self, box) > getattr(self, camera):
+                raise ValidationError(f"{box} {getattr(self, box)!r} exceeds "
+                                      f"{camera} {getattr(self, camera)!r}")
+        if len(self.speed_range) != 2 or not (
+                all(math.isfinite(v) for v in self.speed_range)
+                and 0.0 <= self.speed_range[0] <= self.speed_range[1]):
+            raise ValidationError(
+                f"speed_range must be finite [low, high] with 0 <= low <= high, "
+                f"got {self.speed_range!r}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValidationError(
+                f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        for frame, offset in self.pan_profile:
+            if not frame >= 0:
+                raise ValidationError(f"pan_profile frames must be >= 0, got {frame!r}")
+            if not (math.isfinite(offset) and offset >= 0):
+                raise ValidationError(
+                    f"pan_profile offsets must be finite and >= 0, got {offset!r}")
         if self.layout not in ("free", "lanes"):
             raise ValidationError(f"unknown layout {self.layout!r}")
         for number, spec in self.confusion.items():
@@ -99,7 +128,14 @@ class ScenarioConfig:
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
         kwargs = dict(data)
         if "pan_profile" in kwargs:
-            kwargs["pan_profile"] = tuple((int(f), float(o)) for f, o in kwargs["pan_profile"])
+            try:
+                pairs = [(float(f), float(o)) for f, o in kwargs["pan_profile"]]
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"pan_profile must hold [frame, offset] pairs: {exc}") from None
+            for f, _ in pairs:
+                if not f.is_integer():
+                    raise ValidationError(f"pan_profile frames must be integers, got {f!r}")
+            kwargs["pan_profile"] = tuple((int(f), o) for f, o in pairs)
         if "confusion" in kwargs:
             kwargs["confusion"] = {
                 int(k): ConfusionSpec(**v) if isinstance(v, Mapping) else ConfusionSpec(*v)
@@ -150,17 +186,22 @@ class GroundTruthBundle:
     detections: list[tuple[int, Detection]]
 
     def __post_init__(self) -> None:
-        by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
-        for trk in self.gt_tracks:
-            for det in trk.detections:
-                by_frame.setdefault(det.frame, []).append((trk.track_id, det.box))
         # Per-frame id/corner arrays so ownership lookups stay vectorized,
         # plus a memo since every tracklet frame is queried once per window.
-        self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for frame, items in by_frame.items():
-            ids = np.array([tid for tid, _ in items], dtype=int)
-            corners = np.array([[b.x, b.y, b.x2, b.y2] for _, b in items])
-            self._gt_by_frame[frame] = (ids, corners)
+        # One stable sort by frame keeps each frame's rows in track order.
+        table = np.array([(d.frame, trk.track_id, d.box.x, d.box.y, d.box.w, d.box.h)
+                          for trk in self.gt_tracks for d in trk.detections],
+                         dtype=float).reshape(-1, 6)
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        frames, ids = table[:, 0].astype(int), table[:, 1].astype(int)
+        x, y, w, h = table[:, 2:].T
+        corners = np.column_stack([x, y, x + w, y + h])
+        starts = np.flatnonzero(np.diff(frames, prepend=-1))
+        self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            frame: (frame_ids, frame_corners)
+            for frame, frame_ids, frame_corners in zip(
+                frames[starts].tolist(), np.split(ids, starts[1:]), np.split(corners, starts[1:]))
+        }
         self._match_cache: dict[tuple, int | None] = {}
 
     # -- ground-truth lookups -------------------------------------------------
@@ -412,11 +453,10 @@ class OracleWindowScorer:
 # ---------------------------------------------------------------------------
 
 
-def _pan_offset(profile: Sequence[tuple[int, float]], frame: int) -> float:
-    """Linear interpolation between (frame, offset) breakpoints."""
-    if not profile:
+def _pan_offset(pts: Sequence[tuple[int, float]], frame: int) -> float:
+    """Linear interpolation between (frame, offset) breakpoints sorted by frame."""
+    if not pts:
         return 0.0
-    pts = sorted(profile)
     if frame <= pts[0][0]:
         return pts[0][1]
     for (f0, o0), (f1, o1) in zip(pts, pts[1:]):
@@ -430,12 +470,20 @@ def _pan_offset(profile: Sequence[tuple[int, float]], frame: int) -> float:
 
 def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int,
                     world_w: float, world_h: float) -> np.ndarray:
-    """Box-center trajectories, shape (count, duration, 2), bounced at walls."""
+    """Box-center trajectories, shape (count, duration, 2), bounced at walls.
+
+    Positions and velocities are Python floats; each step is the same
+    IEEE arithmetic a 2-element array would do, on the same draws.
+    """
     half_w, half_h = config.box_width / 2.0, config.box_height / 2.0
-    lo = np.array([half_w, half_h])
-    hi = np.array([world_w - half_w, world_h - half_h])
+    lo_x, lo_y = half_w, half_h
+    hi_x, hi_y = world_w - half_w, world_h - half_h
+    lanes = config.layout == "lanes"
+    speed_range = config.speed_range
+    change_rate = config.direction_change_rate
+    uniform, random = rng.uniform, rng.random
     paths = np.zeros((count, config.duration, 2))
-    if config.layout == "lanes":
+    if lanes:
         pitch = (world_h - config.box_height) / max(count - 1, 1)
         if count > 1 and pitch < config.box_height + 2.0:
             raise ValidationError(
@@ -443,33 +491,40 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
                 f"{config.box_height} within world height {world_h}"
             )
     for i in range(count):
-        if config.layout == "lanes":
+        if lanes:
             y = half_h + i * pitch if count > 1 else world_h / 2.0
-            pos = np.array([rng.uniform(lo[0], hi[0]), y])
-            vel = np.array([rng.choice([-1.0, 1.0]) * rng.uniform(*config.speed_range), 0.0])
+            px, py = float(uniform(lo_x, hi_x)), y
+            vx, vy = float(rng.choice([-1.0, 1.0]) * uniform(*speed_range)), 0.0
         else:
-            pos = rng.uniform(lo, hi)
-            speed = rng.uniform(*config.speed_range)
-            angle = rng.uniform(0.0, 2.0 * np.pi)
-            vel = speed * np.array([np.cos(angle), np.sin(angle)])
-        for t in range(config.duration):
-            paths[i, t] = pos
-            if rng.random() < config.direction_change_rate:
-                speed = rng.uniform(*config.speed_range)
-                if config.layout == "lanes":
-                    vel = np.array([rng.choice([-1.0, 1.0]) * speed, 0.0])
+            px, py = uniform((lo_x, lo_y), (hi_x, hi_y)).tolist()
+            speed = uniform(*speed_range)
+            angle = uniform(0.0, 2.0 * np.pi)
+            vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
+        xs, ys = [], []
+        for _ in range(config.duration):
+            xs.append(px)
+            ys.append(py)
+            if random() < change_rate:
+                speed = uniform(*speed_range)
+                if lanes:
+                    vx, vy = float(rng.choice([-1.0, 1.0]) * speed), 0.0
                 else:
-                    angle = rng.uniform(0.0, 2.0 * np.pi)
-                    vel = speed * np.array([np.cos(angle), np.sin(angle)])
-            pos = pos + vel
-            for axis in range(2):
-                if pos[axis] < lo[axis]:
-                    pos[axis] = 2 * lo[axis] - pos[axis]
-                    vel[axis] = -vel[axis]
-                elif pos[axis] > hi[axis]:
-                    pos[axis] = 2 * hi[axis] - pos[axis]
-                    vel[axis] = -vel[axis]
-            pos = np.clip(pos, lo, hi)
+                    angle = uniform(0.0, 2.0 * np.pi)
+                    vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
+            px += vx
+            py += vy
+            if px < lo_x:
+                px, vx = 2 * lo_x - px, -vx
+            elif px > hi_x:
+                px, vx = 2 * hi_x - px, -vx
+            if py < lo_y:
+                py, vy = 2 * lo_y - py, -vy
+            elif py > hi_y:
+                py, vy = 2 * hi_y - py, -vy
+            px = min(max(px, lo_x), hi_x)
+            py = min(max(py, lo_y), hi_y)
+        paths[i, :, 0] = xs
+        paths[i, :, 1] = ys
     return paths
 
 
@@ -532,29 +587,34 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     visible_frames: dict[int, frozenset[int]] = {}
     pan_gaps: list[PanGap] = []
     half_w, half_h = config.box_width / 2.0, config.box_height / 2.0
+    box_w, box_h = config.box_width, config.box_height
+    profile = sorted(config.pan_profile)
+    offsets = np.array([_pan_offset(profile, t) for t in range(config.duration)], dtype=float)
+    view_end = offsets + config.camera_width
 
     for i in range(count):
         tid = i + 1
-        dets: list[Detection] = []
-        last_frame: int | None = None
-        number_frames: set[int] = set()
-        for t in range(config.duration):
-            offset = _pan_offset(config.pan_profile, t)
-            cx, cy = paths[i, t]
-            if not (offset <= cx < offset + config.camera_width):
-                continue
-            if last_frame is not None and t - last_frame > 1:
-                pan_gaps.append(PanGap(track_id=tid, prev_frame=last_frame, next_frame=t))
-            last_frame = t
-            box = BoundingBox(x=cx - offset - half_w, y=cy - half_h,
-                              w=config.box_width, h=config.box_height)
-            dets.append(Detection(frame=t, box=box, confidence=1.0))
-            if (teams[i] != "referee" and not null_flags[i]
-                    and vis_rng.random() < config.visibility_profile):
-                number_frames.add(t)
-        if not dets:
+        cx, cy = paths[i, :, 0], paths[i, :, 1]
+        in_view = np.flatnonzero((offsets <= cx) & (cx < view_end))
+        if len(in_view) == 0:
             continue  # never entered the camera view
-        gt_tracks.append(Track(track_id=tid, detections=tuple(dets)))
+        jumps = np.flatnonzero(np.diff(in_view) > 1)
+        pan_gaps += [PanGap(track_id=tid, prev_frame=prev, next_frame=nxt)
+                     for prev, nxt in zip(in_view[jumps].tolist(), in_view[jumps + 1].tolist())]
+        # Iterating the arrays keeps x and y np.float64, as the box CSVs and
+        # tracker outputs have always seen them.
+        xs = cx[in_view] - offsets[in_view] - half_w
+        ys = cy[in_view] - half_h
+        dets = tuple(
+            Detection(frame=t, box=BoundingBox(x=x, y=y, w=box_w, h=box_h), confidence=1.0)
+            for t, x, y in zip(in_view.tolist(), xs, ys)
+        )
+        number_frames: list[int] = []
+        if teams[i] != "referee" and not null_flags[i]:
+            # One draw per in-view frame, in frame order.
+            seen = vis_rng.random(len(in_view)) < config.visibility_profile
+            number_frames = in_view[seen].tolist()
+        gt_tracks.append(Track(track_id=tid, detections=dets))
         truth[tid] = TrackTruth(
             team=teams[i],
             jersey=None if (teams[i] == "referee" or null_flags[i]) else jerseys[i],
@@ -562,30 +622,36 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
         )
         visible_frames[tid] = frozenset(number_frames)
 
+    # noise_rng interleaves random(), ziggurat normal() and uniform(), so
+    # its draws stay one detection at a time.
     noise_rng = np.random.default_rng([seed, _NOISE])
+    random, normal, uniform = noise_rng.random, noise_rng.normal, noise_rng.uniform
+    fn_rate, fp_rate, sigma = config.fn_rate, config.fp_rate, config.jitter_sigma
+    fp_x_max = config.camera_width - config.box_width
+    fp_y_max = config.camera_height - config.box_height
     detections: list[tuple[int, Detection]] = []
+    append = detections.append
     by_frame: dict[int, list[Detection]] = {}
     for trk in gt_tracks:
         for det in trk.detections:
             by_frame.setdefault(det.frame, []).append(det)
     for t in sorted(by_frame):
         for det in by_frame[t]:
-            if config.fn_rate > 0 and noise_rng.random() < config.fn_rate:
+            if fn_rate > 0 and random() < fn_rate:
                 continue
-            box = det.box
-            conf = 1.0
-            if config.jitter_sigma > 0:
-                dx, dy = noise_rng.normal(0.0, config.jitter_sigma, size=2)
+            if sigma > 0:
+                dx, dy = normal(0.0, sigma, size=2)
+                box = det.box
                 box = BoundingBox(x=box.x + dx, y=box.y + dy, w=box.w, h=box.h)
-                conf = float(noise_rng.uniform(0.6, 1.0))
-            detections.append((-1, Detection(frame=t, box=box, confidence=conf)))
-        if config.fp_rate > 0 and noise_rng.random() < config.fp_rate:
-            fx = noise_rng.uniform(0.0, config.camera_width - config.box_width)
-            fy = noise_rng.uniform(0.0, config.camera_height - config.box_height)
-            detections.append((
+                det = Detection(frame=t, box=box, confidence=float(uniform(0.6, 1.0)))
+            append((-1, det))
+        if fp_rate > 0 and random() < fp_rate:
+            fx = uniform(0.0, fp_x_max)
+            fy = uniform(0.0, fp_y_max)
+            append((
                 -1,
-                Detection(frame=t, box=BoundingBox(fx, fy, config.box_width, config.box_height),
-                          confidence=float(noise_rng.uniform(0.5, 0.9))),
+                Detection(frame=t, box=BoundingBox(fx, fy, box_w, box_h),
+                          confidence=float(uniform(0.5, 0.9))),
             ))
 
     return GroundTruthBundle(

@@ -213,8 +213,13 @@ class SortTracker:
         self._finished: list[_LiveTrack] = []
         self._next_id = 1
         self._frames_seen = 0
+        self._last_frame: int | None = None
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
+        if self._last_frame is not None and frame <= self._last_frame:
+            raise ValidationError(
+                f"frame {frame} does not follow the previous frame {self._last_frame}")
+        self._last_frame = frame
         params = self.params
         self._frames_seen += 1
         detections = [d for d in detections if d.confidence >= params.confidence_threshold]

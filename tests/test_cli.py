@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rinktrack import metrics
 from rinktrack.cli import main
 
 SCENARIO = {
@@ -83,6 +84,23 @@ class TestSimulate:
         scenario = dict(SCENARIO, home_roster=[1])
         config = write_config(tmp_path / "config.json", scenario=scenario)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_referees", -2, "num_referees must be an integer >= 0, got -2"),
+        ("stride", 0, "stride must be an integer >= 1, got 0"),
+        ("players_per_team", -1, "players_per_team must be an integer >= 1, got -1"),
+        ("camera_height", 20.0, "box_height 30.0 exceeds camera_height 20.0"),
+        ("speed_range", [3.0, 1.0], "speed_range must be finite"),
+        ("pan_profile", [[0, 0.0], [10, float("nan")]], "pan_profile offsets must be finite"),
+        ("pan_profile", [[float("nan"), 0.0]], "pan_profile frames must be integers"),
+    ])
+    def test_invalid_scenario_field_exits_2_naming_it(self, tmp_path, capsys, field, value,
+                                                       message):
+        config = write_config(tmp_path / "config.json", scenario=dict(SCENARIO, **{field: value}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrack:
@@ -251,6 +269,22 @@ class TestEval:
         main(["eval", "--config", str(config), "--out", str(tmp_path / "out")])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [r["name"] for r in report["per_video"]] == ["v1", "v2"]
+
+
+    def test_each_video_evaluated_once(self, workspace, monkeypatch):
+        tmp_path, config, bundle_dir = workspace
+        data = json.loads(config.read_text())
+        gt = data["paths"]["gt"]
+        data["videos"] = [{"name": f"v{i}", "gt": gt, "tracks": gt} for i in range(3)]
+        config.write_text(json.dumps(data))
+        calls = []
+        real = metrics.evaluate_video
+        monkeypatch.setattr(metrics, "evaluate_video",
+                            lambda name, *args: calls.append(name) or real(name, *args))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["v0", "v1", "v2"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["name"] for r in report["pan"]["per_video"]] == ["v0", "v1", "v2"]
 
 
 class TestPipeline:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -18,10 +19,20 @@ from rinktrack.ident import (
     run_pipeline,
 )
 from rinktrack.metrics import pan_idsw, pan_sweep
-from rinktrack.sim import ConfusionSpec, ScenarioConfig, generate, oracle_scorers
+from rinktrack.sim import (
+    ConfusionSpec,
+    ScenarioConfig,
+    _simulate_paths,
+    generate,
+    oracle_scorers,
+)
 from rinktrack.core import build_roster_vector
 
 SMALL_VOCAB = tuple(range(1, 13))
+# Traced bytes a generated bundle holds per box row (ground truth plus
+# detections), counted after a collection: 355 with unslotted box and
+# detection types and the per-frame dict of lists, 279 slotted.
+MAX_BUNDLE_BYTES_PER_ROW = 300
 
 
 def small_config(**overrides):
@@ -89,6 +100,60 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig.from_dict({"players": 4})
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_referees", -2),
+        ("players_per_team", 0),
+        ("players_per_team", -1),
+        ("duration", 0),
+        ("fps", 0),
+        ("window", 0),
+        ("stride", 0),
+        ("stride", 1.5),
+        ("box_width", 0.0),
+        ("box_height", float("nan")),
+        ("camera_width", float("inf")),
+        ("jitter_sigma", -0.5),
+    ])
+    def test_field_out_of_range_named(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            small_config(**{field: value})
+
+    def test_box_must_fit_camera(self):
+        with pytest.raises(ValidationError, match="box_height 30.0 exceeds camera_height 20.0"):
+            small_config(camera_height=20.0)
+        with pytest.raises(ValidationError, match="box_width"):
+            small_config(camera_width=10.0)
+        small_config(camera_width=20.0, camera_height=30.0, players_per_team=1, num_referees=0)
+
+    @pytest.mark.parametrize("speeds", [(3.0, 1.0), (-1.0, 2.0), (1.0, float("nan")),
+                                        (1.0, float("inf")), (1.0,)])
+    def test_speed_range_validated(self, speeds):
+        with pytest.raises(ValidationError, match="speed_range"):
+            small_config(speed_range=speeds)
+
+    @pytest.mark.parametrize("profile, message", [
+        (((0, 0.0), (10, float("nan"))), "offsets"),
+        (((0, 0.0), (10, -5.0)), "offsets"),
+        (((-1, 0.0),), "frames"),
+    ])
+    def test_pan_profile_validated(self, profile, message):
+        with pytest.raises(ValidationError, match=f"pan_profile {message}"):
+            small_config(pan_profile=profile)
+
+    @pytest.mark.parametrize("profile, message", [
+        ([[float("nan"), 0.0]], "frames must be integers, got nan"),
+        ([[1.5, 0.0]], "frames must be integers, got 1.5"),
+        ([[0, 0.0, 1.0]], "pairs"),
+        ([[0, "left"]], "pairs"),
+    ])
+    def test_pan_profile_checked_when_read(self, profile, message):
+        with pytest.raises(ValidationError, match=f"pan_profile.*{message}"):
+            ScenarioConfig.from_dict({"pan_profile": profile})
+
+    def test_zero_referees_and_equal_speeds_allowed(self):
+        bundle = generate(small_config(num_referees=0, speed_range=(2.0, 2.0)), seed=1)
+        assert len(bundle.gt_tracks) == 6
+
 
 class TestGenerate:
     def test_deterministic_bundles(self, tmp_path):
@@ -144,6 +209,149 @@ class TestGenerate:
         assert len(set(home)) == len(home)
         assert set(home) <= set(bundle.home_roster)
         assert set(away) <= set(bundle.away_roster)
+
+
+def _num(v) -> str:
+    """Type-tagged repr, so a Python float and an np.float64 of one value differ."""
+    return f"{type(v).__name__}:{float(v)!r}"
+
+
+def bundle_dump(bundle) -> str:
+    """Canonical text of everything ``generate`` decides, box scalar types included."""
+    lines = [f"rosters {bundle.home_roster!r} {bundle.away_roster!r}"]
+
+    def box_line(tag, track_id, det):
+        b = det.box
+        fields = [_num(b.x), _num(b.y), _num(b.w), _num(b.h), _num(det.confidence)]
+        return " ".join([tag, f"{type(track_id).__name__}:{track_id!r}",
+                         f"{type(det.frame).__name__}:{det.frame!r}", *fields])
+
+    for trk in bundle.gt_tracks:
+        lines += [box_line("gt", trk.track_id, det) for det in trk.detections]
+    lines += [box_line("det", tid, det) for tid, det in bundle.detections]
+    lines += [f"truth {tid!r} {t!r}" for tid, t in sorted(bundle.truth.items())]
+    lines += [f"visible {tid!r} {sorted(fs)!r}" for tid, fs in sorted(bundle.visible_frames.items())]
+    lines += [f"gap {g!r}" for g in bundle.pan_gaps]
+    return "\n".join(lines) + "\n"
+
+
+def golden_scenes():
+    free = dict(players_per_team=4, num_referees=1, duration=300, camera_width=400.0,
+                camera_height=300.0, speed_range=(2.0, 8.0), direction_change_rate=0.05,
+                vocab_labels=SMALL_VOCAB)
+    return {
+        "free_noisy": (ScenarioConfig(
+            **free, pan_profile=((0, 0.0), (60, 0.0), (120, 250.0), (200, 250.0), (260, 0.0)),
+            fp_rate=0.1, fn_rate=0.1, jitter_sigma=1.0, visibility_profile=0.5,
+            null_tracklet_rate=0.3), 5),
+        "free_clean": (ScenarioConfig(**free), 6),
+        "lanes": (small_config(
+            duration=200, direction_change_rate=0.05, fp_rate=0.1, fn_rate=0.05,
+            jitter_sigma=0.5, null_tracklet_rate=0.5, visibility_profile=0.6,
+            pan_profile=((0, 0.0), (50, 0.0), (100, 150.0), (150, 0.0))), 7),
+    }
+
+
+def reference_paths(config, rng, count, world_w, world_h):
+    """The path integrator on 2-element position and velocity arrays."""
+    half_w, half_h = config.box_width / 2.0, config.box_height / 2.0
+    lo = np.array([half_w, half_h])
+    hi = np.array([world_w - half_w, world_h - half_h])
+    paths = np.zeros((count, config.duration, 2))
+    pitch = (world_h - config.box_height) / max(count - 1, 1)
+    for i in range(count):
+        if config.layout == "lanes":
+            y = half_h + i * pitch if count > 1 else world_h / 2.0
+            pos = np.array([rng.uniform(lo[0], hi[0]), y])
+            vel = np.array([rng.choice([-1.0, 1.0]) * rng.uniform(*config.speed_range), 0.0])
+        else:
+            pos = rng.uniform(lo, hi)
+            speed = rng.uniform(*config.speed_range)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            vel = speed * np.array([np.cos(angle), np.sin(angle)])
+        for t in range(config.duration):
+            paths[i, t] = pos
+            if rng.random() < config.direction_change_rate:
+                speed = rng.uniform(*config.speed_range)
+                if config.layout == "lanes":
+                    vel = np.array([rng.choice([-1.0, 1.0]) * speed, 0.0])
+                else:
+                    angle = rng.uniform(0.0, 2.0 * np.pi)
+                    vel = speed * np.array([np.cos(angle), np.sin(angle)])
+            pos = pos + vel
+            for axis in range(2):
+                if pos[axis] < lo[axis]:
+                    pos[axis] = 2 * lo[axis] - pos[axis]
+                    vel[axis] = -vel[axis]
+                elif pos[axis] > hi[axis]:
+                    pos[axis] = 2 * hi[axis] - pos[axis]
+                    vel[axis] = -vel[axis]
+            pos = np.clip(pos, lo, hi)
+    return paths
+
+
+@pytest.mark.parametrize("layout, count, change_rate, speeds", [
+    ("free", 5, 0.05, (2.0, 12.0)),
+    ("free", 3, 1.0, (0.0, 40.0)),
+    ("free", 1, 0.0, (5.0, 5.0)),
+    ("free", 2, 0.3, (300.0, 900.0)),  # steps longer than the world: the clip binds
+    ("lanes", 4, 0.2, (1.0, 30.0)),
+    ("lanes", 1, 0.5, (0.0, 3.0)),
+])
+def test_paths_match_array_reference(layout, count, change_rate, speeds):
+    config = small_config(layout=layout, duration=250, direction_change_rate=change_rate,
+                          speed_range=speeds)
+    fast_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    fast = _simulate_paths(config, fast_rng, count, 480.0, config.camera_height)
+    ref = reference_paths(config, ref_rng, count, 480.0, config.camera_height)
+    assert np.array_equal(fast, ref)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
+
+
+class TestGenerateGolden:
+    """``generate`` is pinned value for value and type for type.
+
+    The CSV golden hashes go through ``str(float(v))`` and cannot see an
+    np.float64 turn into a float; these hash the in-memory bundle. Recorded
+    from the per-object loop generator that used 2-element position arrays.
+    """
+
+    GOLDEN_SHA256 = {
+        "free_noisy": "7ca713b46716403361077dde346c4e8a8962c83386a7e5e8f5071bda86f070e7",
+        "free_clean": "027d83bd8711e746608fd204b9377533d7685425e72b0e1e5284e9b526696f00",
+        "lanes": "f6a6470177360291d6eddfb508656190e4dbe0862d1359c6ba553061424ca594",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_bundle_matches_golden_hash(self, name):
+        config, seed = golden_scenes()[name]
+        dump = bundle_dump(generate(config, seed))
+        assert hashlib.sha256(dump.encode()).hexdigest() == self.GOLDEN_SHA256[name]
+
+    def test_box_scalar_types(self):
+        config, seed = golden_scenes()["free_noisy"]
+        bundle = generate(config, seed)
+        gt_box = bundle.gt_tracks[0].detections[0].box
+        assert [type(v) for v in (gt_box.x, gt_box.y, gt_box.w, gt_box.h)] == \
+            [np.float64, np.float64, float, float]
+        fp = [d for _, d in bundle.detections if d.confidence < 0.6]
+        assert fp and all(type(d.box.x) is float and type(d.box.y) is float for d in fp)
+        assert all(type(d.confidence) is float for _, d in bundle.detections)
+
+    def test_bundle_bytes_per_box_row(self):
+        config, seed = golden_scenes()["free_noisy"]
+        generate(config, seed)  # warm one-time allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bundle = generate(config, seed)
+            gc.collect()  # count what the bundle holds, not garbage awaiting collection
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = len(bundle.detections) + sum(len(t) for t in bundle.gt_tracks)
+        assert held / rows < MAX_BUNDLE_BYTES_PER_ROW, (held, rows)
 
 
 class TestPanGaps:

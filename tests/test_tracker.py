@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinktrack.core import BoundingBox, Detection
+from rinktrack.core import BoundingBox, Detection, ValidationError
 from rinktrack.tracker import (
     KalmanTrackState,
+    SortTracker,
     TrackerParams,
     hungarian,
     iou,
@@ -246,3 +247,14 @@ class TestTrackLifecycle:
 
     def test_empty_input(self):
         assert track({}, TrackerParams()) == []
+
+    @pytest.mark.parametrize("second", [4, 3])
+    def test_step_rejects_frame_not_after_previous(self, second):
+        tracker = SortTracker(TrackerParams(min_hits=1))
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tracker.step(4, [Detection(4, box, 1.0)])
+        with pytest.raises(ValidationError, match=f"frame {second} does not follow .* 4"):
+            tracker.step(second, [Detection(second, box, 1.0)])
+        tracker.step(5, [Detection(5, box, 1.0)])  # the rejected call left no trace
+        [only] = tracker.finish()
+        assert only.frames == [4, 5]

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import core, metrics, sim
-from .core import ParseError, ValidationError
+from .core import ParseError, ValidationError, check_int, check_unit
 from .ident import (
     REFEREE_CLASS,
     FileFrameScorer,
@@ -43,6 +43,15 @@ class MetricsParams:
     delta_min: int = 40
     delta_max: int = 80
     delta_step: int = 5
+
+    def __post_init__(self) -> None:
+        check_unit("iou_threshold", self.iou_threshold)
+        for name in ("delta", "delta_min", "delta_max"):
+            check_int(name, getattr(self, name), 0)
+        check_int("delta_step", self.delta_step, 1)
+        if self.delta_min > self.delta_max:
+            raise ValidationError(
+                f"delta_min {self.delta_min!r} exceeds delta_max {self.delta_max!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MetricsParams":
@@ -82,17 +91,27 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{p}: config must be a JSON object")
+
+    def section(name: str, parse):
+        try:
+            return parse(data.get(name, {}))
+        except (TypeError, ValidationError) as exc:
+            raise ConfigError(f"{p}: {name}: {exc}") from None
+
     try:
-        return RunConfig(
-            paths=dict(data.get("paths", {})),
-            videos=list(data.get("videos", [])),
-            tracker=TrackerParams.from_dict(data.get("tracker", {})),
-            ident=IdentParams.from_dict(data.get("ident", {})),
-            metrics=MetricsParams.from_dict(data.get("metrics", {})),
-            scenario=sim.ScenarioConfig.from_dict(data["scenario"]) if "scenario" in data else None,
-        )
-    except (TypeError, ValidationError) as exc:
+        paths, videos = dict(data.get("paths", {})), list(data.get("videos", []))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
+    return RunConfig(
+        paths=paths,
+        videos=videos,
+        tracker=section("tracker", TrackerParams.from_dict),
+        ident=section("ident", IdentParams.from_dict),
+        metrics=section("metrics", MetricsParams.from_dict),
+        scenario=section("scenario", sim.ScenarioConfig.from_dict) if "scenario" in data else None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,6 +26,24 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Parsed values violate a domain invariant."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Reject anything but an integer of at least ``low``; bools are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_unit(name: str, value) -> None:
+    """Reject anything but a number in [0, 1]; bools and NaN are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Reject anything but ``True`` or ``False``."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

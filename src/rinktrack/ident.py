@@ -14,6 +14,7 @@ synthetic oracles in :mod:`rinktrack.sim`.
 from __future__ import annotations
 
 import json
+import numbers
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ from .core import (
     TeamLabel,
     Track,
     ValidationError,
+    check_bool,
+    check_int,
 )
 
 #: Sentinel identity for referee tracklets, outside the jersey vocabulary.
@@ -78,12 +81,15 @@ class IdentParams:
     strict_null_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta < 1.0:
-            raise ValidationError(f"theta must be in (0, 1), got {self.theta}")
-        if self.window < 1 or self.stride < 1:
-            raise ValidationError("window and stride must be >= 1")
+        if isinstance(self.theta, bool) or not (
+                isinstance(self.theta, numbers.Real) and 0.0 < self.theta < 1.0):
+            raise ValidationError(f"theta must be in (0, 1), got {self.theta!r}")
+        check_int("window", self.window, 1)
+        check_int("stride", self.stride, 1)
         if self.method not in AGGREGATION_METHODS:
-            raise ValidationError(f"method must be one of {AGGREGATION_METHODS}")
+            raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {self.method!r}")
+        for name in ("visibility_filtering", "postprocessing", "strict_null_fallback"):
+            check_bool(name, getattr(self, name))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "IdentParams":

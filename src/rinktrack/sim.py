@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .core import (
     Detection,
     Track,
     ValidationError,
+    check_int,
     default_vocabulary,
     save_detection_file,
     save_rosters,
@@ -90,9 +92,7 @@ class ScenarioConfig:
         least = {"players_per_team": 1, "num_referees": 0, "duration": 1,
                  "fps": 1, "window": 1, "stride": 1}
         for name, low in least.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), low)
         for name in ("camera_width", "camera_height", "box_width", "box_height"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -137,10 +137,15 @@ class ScenarioConfig:
                     raise ValidationError(f"pan_profile frames must be integers, got {f!r}")
             kwargs["pan_profile"] = tuple((int(f), o) for f, o in pairs)
         if "confusion" in kwargs:
-            kwargs["confusion"] = {
-                int(k): ConfusionSpec(**v) if isinstance(v, Mapping) else ConfusionSpec(*v)
-                for k, v in kwargs["confusion"].items()
-            }
+            confusion = {}
+            for k, v in kwargs["confusion"].items():
+                try:
+                    number = int(str(k))
+                except ValueError:
+                    raise ValidationError(
+                        f"confusion keys must be jersey numbers, got {k!r}") from None
+                confusion[number] = ConfusionSpec(**v) if isinstance(v, Mapping) else ConfusionSpec(*v)
+            kwargs["confusion"] = confusion
         for name in ("speed_range", "vocab_labels", "home_roster", "away_roster"):
             if kwargs.get(name) is not None:
                 kwargs[name] = tuple(kwargs[name])
@@ -186,23 +191,31 @@ class GroundTruthBundle:
     detections: list[tuple[int, Detection]]
 
     def __post_init__(self) -> None:
-        # Per-frame id/corner arrays so ownership lookups stay vectorized,
-        # plus a memo since every tracklet frame is queried once per window.
+        # Per-frame id/corner arrays, built on the first lookup so runs that
+        # never match boxes never pay for them, plus a memo since every
+        # tracklet frame is queried once per window.
+        self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        self._match_cache: dict[tuple, int | None] = {}
+
+    def _index_frames(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Each frame's ground-truth ids and corners, its rows in ``gt_tracks`` order."""
+        rows = [d for trk in self.gt_tracks for d in trk.detections]
+        n = len(rows)
+        frames = np.fromiter((d.frame for d in rows), dtype=np.int64, count=n)
+        ids = np.repeat(np.array([trk.track_id for trk in self.gt_tracks], dtype=np.int64),
+                        [len(trk) for trk in self.gt_tracks])
+        x, y, w, h = (np.fromiter((getattr(d.box, name) for d in rows), dtype=float, count=n)
+                      for name in ("x", "y", "w", "h"))
         # One stable sort by frame keeps each frame's rows in track order.
-        table = np.array([(d.frame, trk.track_id, d.box.x, d.box.y, d.box.w, d.box.h)
-                          for trk in self.gt_tracks for d in trk.detections],
-                         dtype=float).reshape(-1, 6)
-        table = table[np.argsort(table[:, 0], kind="stable")]
-        frames, ids = table[:, 0].astype(int), table[:, 1].astype(int)
-        x, y, w, h = table[:, 2:].T
-        corners = np.column_stack([x, y, x + w, y + h])
+        order = np.argsort(frames, kind="stable")
+        frames, ids = frames[order], ids[order]
+        corners = np.column_stack([x, y, x + w, y + h])[order]
         starts = np.flatnonzero(np.diff(frames, prepend=-1))
-        self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] = {
+        return {
             frame: (frame_ids, frame_corners)
             for frame, frame_ids, frame_corners in zip(
                 frames[starts].tolist(), np.split(ids, starts[1:]), np.split(corners, starts[1:]))
         }
-        self._match_cache: dict[tuple, int | None] = {}
 
     # -- ground-truth lookups -------------------------------------------------
 
@@ -211,6 +224,8 @@ class GroundTruthBundle:
         key = (frame, box.x, box.y, box.w, box.h, min_iou)
         if key in self._match_cache:
             return self._match_cache[key]
+        if self._gt_by_frame is None:
+            self._gt_by_frame = self._index_frames()
         result: int | None = None
         entry = self._gt_by_frame.get(frame)
         if entry is not None:
@@ -591,6 +606,8 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     profile = sorted(config.pan_profile)
     offsets = np.array([_pan_offset(profile, t) for t in range(config.duration)], dtype=float)
     view_end = offsets + config.camera_width
+    # One int object per frame, shared by every box and visibility set.
+    frame_ints = list(range(config.duration))
 
     for i in range(count):
         tid = i + 1
@@ -601,19 +618,18 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
         jumps = np.flatnonzero(np.diff(in_view) > 1)
         pan_gaps += [PanGap(track_id=tid, prev_frame=prev, next_frame=nxt)
                      for prev, nxt in zip(in_view[jumps].tolist(), in_view[jumps + 1].tolist())]
+        frames = [frame_ints[t] for t in in_view.tolist()]
         # Iterating the arrays keeps x and y np.float64, as the box CSVs and
         # tracker outputs have always seen them.
         xs = cx[in_view] - offsets[in_view] - half_w
         ys = cy[in_view] - half_h
-        dets = tuple(
-            Detection(frame=t, box=BoundingBox(x=x, y=y, w=box_w, h=box_h), confidence=1.0)
-            for t, x, y in zip(in_view.tolist(), xs, ys)
-        )
+        dets = tuple(Detection(t, BoundingBox(x, y, box_w, box_h), 1.0)
+                     for t, x, y in zip(frames, xs, ys))
         number_frames: list[int] = []
         if teams[i] != "referee" and not null_flags[i]:
             # One draw per in-view frame, in frame order.
             seen = vis_rng.random(len(in_view)) < config.visibility_profile
-            number_frames = in_view[seen].tolist()
+            number_frames = list(compress(frames, seen.tolist()))
         gt_tracks.append(Track(track_id=tid, detections=dets))
         truth[tid] = TrackTruth(
             team=teams[i],
@@ -623,36 +639,51 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
         visible_frames[tid] = frozenset(number_frames)
 
     # noise_rng interleaves random(), ziggurat normal() and uniform(), so
-    # its draws stay one detection at a time.
+    # its draws stay one detection at a time, in frame order. They are all
+    # drawn first into flat buffers; the boxes are built in a second pass.
     noise_rng = np.random.default_rng([seed, _NOISE])
     random, normal, uniform = noise_rng.random, noise_rng.normal, noise_rng.uniform
     fn_rate, fp_rate, sigma = config.fn_rate, config.fp_rate, config.jitter_sigma
     fp_x_max = config.camera_width - config.box_width
     fp_y_max = config.camera_height - config.box_height
-    detections: list[tuple[int, Detection]] = []
-    append = detections.append
     by_frame: dict[int, list[Detection]] = {}
     for trk in gt_tracks:
         for det in trk.detections:
             by_frame.setdefault(det.frame, []).append(det)
-    for t in sorted(by_frame):
-        for det in by_frame[t]:
-            if fn_rate > 0 and random() < fn_rate:
+    frame_order = sorted(by_frame)
+    kept = bytearray()  # per ground-truth row, in frame order
+    jitter = array("d")  # dx, dy, confidence per kept row when sigma > 0
+    has_fp = bytearray()  # per frame
+    false_pos = array("d")  # x, y, confidence per false positive
+    for t in frame_order:
+        for _ in by_frame[t]:
+            keep = not (fn_rate > 0 and random() < fn_rate)
+            kept.append(keep)
+            if keep and sigma > 0:
+                jitter.extend((normal(0.0, sigma), normal(0.0, sigma), uniform(0.6, 1.0)))
+        fp = fp_rate > 0 and random() < fp_rate
+        has_fp.append(fp)
+        if fp:
+            false_pos.extend((uniform(0.0, fp_x_max), uniform(0.0, fp_y_max), uniform(0.5, 0.9)))
+
+    detections: list[tuple[int, Detection]] = []
+    append = detections.append
+    keeps = iter(kept)
+    j = f = 0
+    for t, fp in zip(frame_order, has_fp):
+        for det, keep in zip(by_frame[t], keeps):
+            if not keep:
                 continue
             if sigma > 0:
-                dx, dy = normal(0.0, sigma, size=2)
                 box = det.box
-                box = BoundingBox(x=box.x + dx, y=box.y + dy, w=box.w, h=box.h)
-                det = Detection(frame=t, box=box, confidence=float(uniform(0.6, 1.0)))
+                det = Detection(t, BoundingBox(box.x + jitter[j], box.y + jitter[j + 1],
+                                               box.w, box.h), jitter[j + 2])
+                j += 3
             append((-1, det))
-        if fp_rate > 0 and random() < fp_rate:
-            fx = uniform(0.0, fp_x_max)
-            fy = uniform(0.0, fp_y_max)
-            append((
-                -1,
-                Detection(frame=t, box=BoundingBox(fx, fy, box_w, box_h),
-                          confidence=float(uniform(0.5, 0.9))),
-            ))
+        if fp:
+            append((-1, Detection(t, BoundingBox(false_pos[f], false_pos[f + 1], box_w, box_h),
+                                  false_pos[f + 2])))
+            f += 3
 
     return GroundTruthBundle(
         config=config,

@@ -7,12 +7,14 @@ lifecycle follows the usual tentative/confirmed/lost rules driven by
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Track, ValidationError
+from .core import BoundingBox, Detection, Track, ValidationError, check_int, check_unit
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,20 @@ class TrackerParams:
     initial_covariance: tuple[float, ...] = (10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4)
     process_noise: tuple[float, ...] = (1.0, 1.0, 1.0, 0.01, 0.01, 0.01, 1e-4)
     measurement_noise: tuple[float, ...] = (1.0, 1.0, 10.0, 10.0)
+
+    def __post_init__(self) -> None:
+        check_unit("iou_threshold", self.iou_threshold)
+        check_unit("confidence_threshold", self.confidence_threshold)
+        check_int("max_age", self.max_age, 0)
+        check_int("min_hits", self.min_hits, 0)
+        for name, size in (("initial_covariance", 7), ("process_noise", 7),
+                           ("measurement_noise", 4)):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == size and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) and v >= 0 for v in value)):
+                raise ValidationError(
+                    f"{name} must hold {size} finite numbers >= 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrackerParams":

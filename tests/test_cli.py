@@ -103,6 +103,57 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+class TestConfigSections:
+    """Each section's fields are checked when the config is loaded (exit 2, field named)."""
+
+    @pytest.mark.parametrize("command, section, fields, message", [
+        ("track", "tracker", {"iou_threshold": 1.5}, "iou_threshold must be a number in [0, 1], got 1.5"),
+        ("track", "tracker", {"confidence_threshold": "high"},
+         "confidence_threshold must be a number in [0, 1], got 'high'"),
+        ("track", "tracker", {"max_age": "x"}, "max_age must be an integer >= 0, got 'x'"),
+        ("track", "tracker", {"min_hits": -1}, "min_hits must be an integer >= 0, got -1"),
+        ("track", "tracker", {"initial_covariance": [10.0] * 6},
+         "initial_covariance must hold 7 finite numbers >= 0"),
+        ("track", "tracker", {"process_noise": [1, 2]}, "process_noise must hold 7 finite numbers >= 0"),
+        ("track", "tracker", {"measurement_noise": [1.0, 1.0, -10.0, 10.0]},
+         "measurement_noise must hold 4 finite numbers >= 0"),
+        ("identify", "ident", {"theta": "x"}, "theta must be in (0, 1), got 'x'"),
+        ("identify", "ident", {"window": 1.5}, "window must be an integer >= 1, got 1.5"),
+        ("identify", "ident", {"stride": 0}, "stride must be an integer >= 1, got 0"),
+        ("identify", "ident", {"method": "median"}, "method must be one of"),
+        ("identify", "ident", {"visibility_filtering": 1},
+         "visibility_filtering must be true or false, got 1"),
+        ("identify", "ident", {"postprocessing": "yes"},
+         "postprocessing must be true or false, got 'yes'"),
+        ("identify", "ident", {"strict_null_fallback": None},
+         "strict_null_fallback must be true or false, got None"),
+        ("eval", "metrics", {"iou_threshold": "x"}, "iou_threshold must be a number in [0, 1], got 'x'"),
+        ("eval", "metrics", {"delta": -1}, "delta must be an integer >= 0, got -1"),
+        ("eval", "metrics", {"delta_min": 40.5}, "delta_min must be an integer >= 0, got 40.5"),
+        ("eval", "metrics", {"delta_max": 30}, "delta_min 40 exceeds delta_max 30"),
+        ("eval", "metrics", {"delta_step": 0}, "delta_step must be an integer >= 1, got 0"),
+        ("simulate", "scenario", dict(SCENARIO, confusion={"six": {"substitute": 8, "prob": 0.5}}),
+         "confusion keys must be jersey numbers, got 'six'"),
+    ])
+    def test_invalid_field_exits_2_naming_it(self, tmp_path, capsys, command, section, fields,
+                                             message):
+        config = write_config(tmp_path / "config.json", **{section: fields})
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"{section}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]\n")
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_integer_confusion_keys_accepted(self, tmp_path):
+        scenario = dict(SCENARIO, confusion={"6": {"substitute": 8, "prob": 0.5}})
+        config = write_config(tmp_path / "config.json", scenario=scenario)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestTrack:
     def test_track_count_matches_objects(self, workspace, capsys):
         tmp_path, config, _ = workspace

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rinktrack.core import ProbVector, ValidationError, parse_detection_file
+from rinktrack.core import (
+    BoundingBox,
+    ClassVocabulary,
+    Detection,
+    ProbVector,
+    Track,
+    ValidationError,
+    parse_detection_file,
+)
 from rinktrack.ident import (
     FileFrameScorer,
     FileTeamScorer,
@@ -21,7 +29,9 @@ from rinktrack.ident import (
 from rinktrack.metrics import pan_idsw, pan_sweep
 from rinktrack.sim import (
     ConfusionSpec,
+    GroundTruthBundle,
     ScenarioConfig,
+    TrackTruth,
     _simulate_paths,
     generate,
     oracle_scorers,
@@ -33,6 +43,10 @@ SMALL_VOCAB = tuple(range(1, 13))
 # detections), counted after a collection: 355 with unslotted box and
 # detection types and the per-frame dict of lists, 279 slotted.
 MAX_BUNDLE_BYTES_PER_ROW = 300
+# Traced peak bytes per box row while ``generate`` runs: 389 when the
+# ground-truth frame index was built eagerly from a list of row tuples,
+# about 273 with the index built on the first lookup.
+MAX_GENERATE_PEAK_BYTES_PER_ROW = 330
 
 
 def small_config(**overrides):
@@ -352,6 +366,82 @@ class TestGenerateGolden:
             tracemalloc.stop()
         rows = len(bundle.detections) + sum(len(t) for t in bundle.gt_tracks)
         assert held / rows < MAX_BUNDLE_BYTES_PER_ROW, (held, rows)
+
+    def test_generate_peak_bytes_per_box_row(self):
+        config, seed = golden_scenes()["free_noisy"]
+        generate(config, seed)  # warm one-time allocations
+        gc.collect()
+        bundle, peak = traced_peak(lambda: generate(config, seed))
+        rows = len(bundle.detections) + sum(len(t) for t in bundle.gt_tracks)
+        assert peak / rows < MAX_GENERATE_PEAK_BYTES_PER_ROW, (peak, rows)
+
+
+def brute_force_owner(bundle, frame, box, min_iou=0.2):
+    """Best-IoU ground-truth track at ``frame``, scanning ``gt_tracks`` in order.
+
+    A strictly greater IoU is needed to displace the current best, so ties
+    go to the track that comes first in ``gt_tracks``.
+    """
+    best_id, best = None, -1.0
+    for trk in bundle.gt_tracks:
+        for det in trk.detections:
+            if det.frame != frame:
+                continue
+            g = det.box
+            gx2, gy2 = g.x + g.w, g.y + g.h
+            ix = min(box.x + box.w, gx2) - max(box.x, g.x)
+            iy = min(box.y + box.h, gy2) - max(box.y, g.y)
+            inter = max(ix, 0.0) * max(iy, 0.0)
+            overlap = inter / (box.w * box.h + (gx2 - g.x) * (gy2 - g.y) - inter)
+            if overlap > best:
+                best_id, best = trk.track_id, overlap
+    return best_id if best >= min_iou else None
+
+
+class TestMatchGt:
+    """``match_gt`` against a brute-force owner search over ``gt_tracks``."""
+
+    def test_every_box_of_a_noisy_pan_scene(self):
+        config = small_config(
+            layout="free", duration=150, speed_range=(1.0, 4.0), jitter_sigma=3.0,
+            fp_rate=0.5, fn_rate=0.1,
+            pan_profile=((0, 0.0), (30, 0.0), (70, 200.0), (110, 200.0), (140, 0.0)))
+        bundle = generate(config, seed=31)
+        assert bundle.pan_gaps
+        queries = [(d.frame, d.box) for trk in bundle.gt_tracks for d in trk.detections]
+        queries += [(d.frame, d.box) for _, d in bundle.detections]
+        queries.append((config.duration + 5, queries[0][1]))  # a frame with no ground truth
+        unmatched = set()
+        for min_iou in (0.2, 0.5):
+            for frame, box in queries:
+                expected = brute_force_owner(bundle, frame, box, min_iou)
+                assert bundle.match_gt(frame, box, min_iou) == expected, (frame, box, min_iou)
+                unmatched.add(expected is None)
+        assert unmatched == {True, False}  # both outcomes exercised
+
+    def test_tie_goes_to_earlier_track_in_gt_tracks_order(self):
+        box = BoundingBox(10.0, 10.0, 20.0, 30.0)
+        shifted = BoundingBox(25.0, 10.0, 20.0, 30.0)
+
+        def track(tid, *frame_boxes):
+            return Track(track_id=tid, detections=tuple(
+                Detection(frame=f, box=b, confidence=1.0) for f, b in frame_boxes))
+
+        # Track 5 comes first in gt_tracks although its id is higher.
+        gt_tracks = [track(5, (0, box), (1, shifted), (2, box)),
+                     track(2, (1, shifted), (2, box), (3, box))]
+        truth = {tid: TrackTruth(team="home", jersey=1, null_tracklet=False) for tid in (2, 5)}
+        bundle = GroundTruthBundle(
+            config=small_config(), seed=0, vocab=ClassVocabulary(labels=SMALL_VOCAB),
+            home_roster=(1,), away_roster=(2,), gt_tracks=gt_tracks, truth=truth,
+            visible_frames={2: frozenset(), 5: frozenset()}, pan_gaps=[], detections=[])
+        for frame in (0, 1, 2, 3, 4):
+            for query in (box, shifted, BoundingBox(12.0, 11.0, 20.0, 30.0)):
+                assert bundle.match_gt(frame, query) == brute_force_owner(bundle, frame, query)
+        assert bundle.match_gt(1, shifted) == 5
+        assert bundle.match_gt(2, box) == 5
+        assert bundle.match_gt(3, box) == 2
+        assert bundle.match_gt(4, box) is None
 
 
 class TestPanGaps:

@@ -71,19 +71,13 @@ def main() -> int:
     scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
     rosters = Rosters(home=core.build_roster_vector(bundle.home_roster, bundle.vocab),
                       away=core.build_roster_vector(bundle.away_roster, bundle.vocab))
-    params = IdentParams()
-
-    accuracies = {}
-    for label, mask in (("without rosters", False), ("with rosters", True)):
-        results = run_pipeline(tracks, scorers, rosters, bundle.vocab, params, mask_rosters=mask)
-        hits = total = 0
-        for trk, result in zip(tracks, results):
-            want = bundle.expected_class(trk)
-            if want is None:
-                continue
-            total += 1
-            hits += int(result.identity == want)
-        accuracies[label] = hits / total
+    results = run_pipeline(tracks, scorers, rosters, bundle.vocab, IdentParams())
+    scored = [(result, want) for trk, result in zip(tracks, results)
+              if (want := bundle.expected_class(trk)) is not None]
+    accuracies = {
+        "without rosters": sum(r.identity_unmasked == want for r, want in scored) / len(scored),
+        "with rosters": sum(r.identity == want for r, want in scored) / len(scored),
+    }
     print("identification accuracy")
     for label, acc in accuracies.items():
         print(f"  {label:<17} {100 * acc:6.2f}%")

@@ -55,7 +55,7 @@ class MetricsParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MetricsParams":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+        return cls(**core.known_fields(cls, data))
 
     @property
     def sweep(self) -> list[int]:
@@ -147,24 +147,33 @@ def cmd_track(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+_TEAMS = ("home", "away", "referee")
+
+
 def _load_truth(path: Path) -> dict[int, sim.TrackTruth]:
-    data = json.loads(path.read_text())
+    """Per-track truth from ``truth.json``; a malformed entry is a ParseError naming the file."""
+    data = core.read_json(path)
+    tracks = data.get("tracks") if isinstance(data, dict) else None
+    if not isinstance(tracks, dict):
+        raise ParseError(f'{path}: truth file must be an object with a "tracks" object')
     truth = {}
-    for tid, row in data["tracks"].items():
-        truth[int(tid)] = sim.TrackTruth(
-            team=row["team"],
-            jersey=row["jersey"],
-            null_tracklet=bool(row.get("null_tracklet", row["jersey"] is None)),
-        )
+    for tid, row in tracks.items():
+        where = f"{path}: track {tid!r}"
+        try:
+            track_id = int(tid)
+        except ValueError:
+            raise ParseError(f"{where}: track ids must be integers") from None
+        if not isinstance(row, dict) or row.get("team") not in _TEAMS:
+            raise ParseError(f"{where}: team must be one of {', '.join(_TEAMS)}")
+        jersey = row.get("jersey", "missing")
+        if jersey is not None and type(jersey) is not int:
+            raise ParseError(f"{where}: jersey must be an integer or null, got {jersey!r}")
+        null_tracklet = row.get("null_tracklet", jersey is None)
+        if not isinstance(null_tracklet, bool):
+            raise ParseError(f"{where}: null_tracklet must be true or false")
+        truth[track_id] = sim.TrackTruth(team=row["team"], jersey=jersey,
+                                         null_tracklet=null_tracklet)
     return truth
-
-
-def expected_class_from_truth(truth: sim.TrackTruth, vocab: core.ClassVocabulary) -> int:
-    if truth.team == "referee":
-        return REFEREE_CLASS
-    if truth.jersey is None:
-        return vocab.null_index
-    return vocab.index_of(truth.jersey)
 
 
 def _jersey_of(identity: int, vocab: core.ClassVocabulary):
@@ -173,32 +182,12 @@ def _jersey_of(identity: int, vocab: core.ClassVocabulary):
     return vocab.label_of(identity)  # None for the null class
 
 
-def _identity_payload(masked: list[TrackIdentity] | None, unmasked: list[TrackIdentity],
-                      vocab: core.ClassVocabulary) -> list[dict]:
-    rows = []
-    for i, result in enumerate(unmasked):
-        row = {
-            "track_id": result.track_id,
-            "team": result.team.name.lower(),
-            "identity_unmasked": result.identity,
-            "jersey_unmasked": _jersey_of(result.identity, vocab),
-            "p_jn": result.p_jn.values.tolist(),
-        }
-        if masked is not None:
-            row["identity"] = masked[i].identity
-            row["jersey"] = _jersey_of(masked[i].identity, vocab)
-        else:
-            row["identity"] = result.identity
-            row["jersey"] = row["jersey_unmasked"]
-        rows.append(row)
-    return rows
-
-
-def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int]) -> float | None:
+def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int],
+              field: str) -> float | None:
     scored = [r for r in results if r.track_id in expected]
     if not scored:
         return None
-    return sum(1 for r in scored if r.identity == expected[r.track_id]) / len(scored)
+    return sum(getattr(r, field) == expected[r.track_id] for r in scored) / len(scored)
 
 
 def _file_scorers(config: RunConfig, vocab: core.ClassVocabulary) -> Scorers:
@@ -215,47 +204,60 @@ def _file_scorers(config: RunConfig, vocab: core.ClassVocabulary) -> Scorers:
     return scorers
 
 
-def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
-    tracks = core.rows_to_tracks(core.parse_detection_file(config.path("tracks")))
-    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
+def _identify_and_report(config: RunConfig, tracks: list[core.Track],
+                         vocab: core.ClassVocabulary, scorers: Scorers,
+                         expected: Mapping[int, int] | None, out_dir: Path,
+                         mask_rosters: bool, method: str | None) -> dict | None:
+    """Identify every tracklet in one pass and write ``identities.json``.
+
+    Returns the accuracy of each arm against ``expected`` (None without it).
+    """
     params = config.ident if method is None else replace(config.ident, method=method)
-    scorers = _file_scorers(config, vocab)
     rosters = None
     if mask_rosters:
         home, away = core.load_rosters(config.path("rosters"))
-        rosters = Rosters(
-            home=core.build_roster_vector(home, vocab),
-            away=core.build_roster_vector(away, vocab),
-        )
-
-    unmasked = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=False)
-    masked = None
-    if mask_rosters:
-        masked = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=True)
+        rosters = Rosters(home=core.build_roster_vector(home, vocab),
+                          away=core.build_roster_vector(away, vocab))
+    results = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=mask_rosters)
 
     payload: dict = {
         "aggregation": params.method,
         "roster_masking": mask_rosters,
-        "tracks": _identity_payload(masked, unmasked, vocab),
+        "tracks": [{
+            "track_id": r.track_id,
+            "team": r.team.name.lower(),
+            "identity": r.identity,
+            "jersey": _jersey_of(r.identity, vocab),
+            "identity_unmasked": r.identity_unmasked,
+            "jersey_unmasked": _jersey_of(r.identity_unmasked, vocab),
+            "p_jn": r.p_jn.values.tolist(),
+        } for r in results],
     }
+    accuracy = None
+    if expected is not None:
+        accuracy = {"without_roster": _accuracy(results, expected, "identity_unmasked")}
+        if mask_rosters:
+            accuracy["with_roster"] = _accuracy(results, expected, "identity")
+        payload["accuracy"] = accuracy
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "identities.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return accuracy
 
+
+def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
+    tracks = core.rows_to_tracks(core.parse_detection_file(config.path("tracks")))
+    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
+    scorers = _file_scorers(config, vocab)
+    expected = None
     truth_path = config.path("truth", required=False)
     if truth_path is not None:
-        truth = _load_truth(truth_path)
-        expected = {tid: expected_class_from_truth(t, vocab) for tid, t in truth.items()}
-        accuracy: dict[str, float | None] = {"without_roster": _accuracy(unmasked, expected)}
-        if masked is not None:
-            accuracy["with_roster"] = _accuracy(masked, expected)
-        payload["accuracy"] = accuracy
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "identities.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"{len(tracks)} tracklets identified -> {out_path}")
-    if "accuracy" in payload:
-        for arm, value in sorted(payload["accuracy"].items()):
-            if value is not None:
-                print(f"  accuracy {arm}: {100 * value:.2f}%")
+        expected = {tid: t.expected_class(vocab) for tid, t in _load_truth(truth_path).items()}
+    accuracy = _identify_and_report(config, tracks, vocab, scorers, expected, out_dir,
+                                    mask_rosters, method)
+    print(f"{len(tracks)} tracklets identified -> {out_dir / 'identities.json'}")
+    for arm, value in sorted((accuracy or {}).items()):
+        if value is not None:
+            print(f"  accuracy {arm}: {100 * value:.2f}%")
     return 0
 
 
@@ -360,68 +362,40 @@ def cmd_eval(config: RunConfig, out_dir: Path, extra: dict | None = None) -> int
 
 def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
                  mask_rosters: bool, method: str | None) -> int:
-    """Simulate (when configured), then track, identify, and evaluate."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Simulate (when configured), then track, identify, and evaluate.
+
+    A simulating run reads every input from the bundle it writes, so a
+    config that also names one of those inputs is an error.
+    """
+    paths = dict(config.paths)
     bundle = None
     if config.paths.get("detections") is None:
         if config.scenario is None:
             raise ConfigError("pipeline needs either paths.detections or a scenario section")
+        stale = [f"paths.{name}" for name in sim.BUNDLE_FILES if config.paths.get(name) is not None]
+        if stale:
+            raise ConfigError(f"pipeline simulates its inputs, so it cannot also read "
+                              f"{', '.join(stale)}; remove them or set paths.detections")
         bundle = _generate_or_config_error(config.scenario, seed)
-        bundle.write(out_dir / "bundle")
-        config.paths.setdefault("detections", str(out_dir / "bundle" / "det.csv"))
-        config.paths.setdefault("gt", str(out_dir / "bundle" / "gt.csv"))
-        for name, filename in (("rosters", "rosters.json"), ("vocab", "vocab.json"),
-                               ("truth", "truth.json"),
-                               ("frame_scores", "frame_scores.jsonl"),
-                               ("team_scores", "team_scores.jsonl"),
-                               ("window_scores", "window_scores.jsonl")):
-            config.paths.setdefault(name, str(out_dir / "bundle" / filename))
+        paths.update(bundle.write(out_dir / "bundle")["files"])
+    paths["tracks"] = str(out_dir / "tracks.csv")
+    run = replace(config, paths=paths, videos=[])
 
-    cmd_track(config, out_dir)
-    tracks = core.rows_to_tracks(core.parse_detection_file(out_dir / "tracks.csv"))
-
-    vocab = (bundle.vocab if bundle is not None
-             else core.ClassVocabulary.from_json(config.path("vocab")))
-    params = config.ident if method is None else replace(config.ident, method=method)
+    cmd_track(run, out_dir)
+    tracks = core.rows_to_tracks(core.parse_detection_file(run.path("tracks")))
+    vocab = core.ClassVocabulary.from_json(run.path("vocab"))
     if bundle is not None:
         # Simulated runs score tracker tracklets through the bundle oracles;
         # the emitted score files only cover ground-truth track ids.
         frame_scorer, window_scorer, team_scorer = sim.oracle_scorers(bundle)
         scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
+        expected = {trk.track_id: want for trk in tracks
+                    if (want := bundle.expected_class(trk)) is not None}
     else:
-        scorers = _file_scorers(config, vocab)
-    rosters = None
-    if mask_rosters:
-        home, away = core.load_rosters(config.path("rosters"))
-        rosters = Rosters(home=core.build_roster_vector(home, vocab),
-                          away=core.build_roster_vector(away, vocab))
-
-    unmasked = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=False)
-    masked = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=True) \
-        if mask_rosters else None
-
-    payload: dict = {
-        "aggregation": params.method,
-        "roster_masking": mask_rosters,
-        "tracks": _identity_payload(masked, unmasked, vocab),
-    }
-    accuracy: dict[str, float | None] = {}
-    if bundle is not None:
-        expected = {}
-        for trk in tracks:
-            want = bundle.expected_class(trk)
-            if want is not None:
-                expected[trk.track_id] = want
-        accuracy["without_roster"] = _accuracy(unmasked, expected)
-        if masked is not None:
-            accuracy["with_roster"] = _accuracy(masked, expected)
-        payload["accuracy"] = accuracy
-    (out_dir / "identities.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    config.videos = []
-    config.paths["tracks"] = str(out_dir / "tracks.csv")
-    extra = {"identification_accuracy": accuracy} if accuracy else None
-    cmd_eval(config, out_dir, extra)
+        scorers, expected = _file_scorers(run, vocab), None
+    accuracy = _identify_and_report(run, tracks, vocab, scorers, expected, out_dir,
+                                    mask_rosters, method)
+    cmd_eval(run, out_dir, {"identification_accuracy": accuracy} if accuracy else None)
     return 0
 
 

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,34 @@ def check_bool(name: str, value) -> None:
     """Reject anything but ``True`` or ``False``."""
     if not isinstance(value, bool):
         raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+def known_fields(cls, data) -> dict:
+    """``data`` as keyword arguments of dataclass ``cls``; any other key is rejected."""
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(f"unknown fields: {unknown}")
+    return dict(data)
+
+
+def read_json(path: str | Path):
+    """A JSON file's value; malformed JSON is a :class:`ParseError` naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def json_ints(path: str | Path, name: str, values) -> list[int]:
+    """``values`` if it is a list of JSON integers (not bools or floats); else a ParseError."""
+    if not isinstance(values, list):
+        raise ParseError(f"{path}: {name} must be a list of integers, got {values!r}")
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ParseError(f"{path}: {name} entries must be integers, got {bad[0]!r}")
+    return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +192,11 @@ class ClassVocabulary:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ClassVocabulary":
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, list):
-            raise ParseError(f"{path}: vocabulary file must be a JSON list of integers")
-        return cls(labels=tuple(int(v) for v in data))
+        labels = json_ints(path, "vocabulary", read_json(path))
+        try:
+            return cls(labels=tuple(labels))
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(list(self.labels)) + "\n")
@@ -247,10 +276,10 @@ def build_roster_vector(roster: Iterable[int], vocab: ClassVocabulary) -> Roster
 
 def load_rosters(path: str | Path) -> tuple[list[int], list[int]]:
     """Read a roster file ``{"home": [...], "away": [...]}``."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, dict) or "home" not in data or "away" not in data:
         raise ParseError(f'{path}: roster file must be an object with "home" and "away" lists')
-    return [int(v) for v in data["home"]], [int(v) for v in data["away"]]
+    return json_ints(path, "home roster", data["home"]), json_ints(path, "away roster", data["away"])
 
 
 def save_rosters(home: Sequence[int], away: Sequence[int], path: str | Path) -> None:

@@ -35,6 +35,7 @@ from .core import (
     ValidationError,
     check_bool,
     check_int,
+    known_fields,
 )
 
 #: Sentinel identity for referee tracklets, outside the jersey vocabulary.
@@ -93,8 +94,7 @@ class IdentParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "IdentParams":
-        kwargs = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
-        return cls(**kwargs)
+        return cls(**known_fields(cls, data))
 
 
 def team_vote(tracklet: Track, scorer: FrameScorer) -> TeamLabel:
@@ -112,15 +112,8 @@ def team_vote(tracklet: Track, scorer: FrameScorer) -> TeamLabel:
         label = TeamLabel(int(np.argmax(probs)))
         counts[label] += 1
         confidence[label] += float(probs.max())
-    best = max(counts.values())
-    tied = [label for label in TeamLabel if counts[label] == best]
-    if len(tied) == 1:
-        return tied[0]
-    top_conf = max(confidence[label] for label in tied)
-    for label in TeamLabel:  # enum order settles confidence ties
-        if label in tied and confidence[label] == top_conf:
-            return label
-    raise AssertionError("unreachable")
+    # max() keeps the first of equal keys, so enum order settles confidence ties.
+    return max(TeamLabel, key=lambda label: (counts[label], confidence[label]))
 
 
 def window_starts(k: int, window: int, stride: int = 1) -> list[int]:
@@ -155,36 +148,6 @@ def _stack(prob_vectors: Sequence[ProbVector]) -> np.ndarray:
     return np.stack([p.values for p in prob_vectors])
 
 
-def _aggregate_mean(stacked: np.ndarray, postprocessing: bool, strict_null_fallback: bool
-                    ) -> tuple[int, np.ndarray]:
-    null_index = stacked.shape[1] - 1
-    if postprocessing:
-        kept = stacked[np.argmax(stacked, axis=1) != null_index]
-        if len(kept) == 0:
-            mean = stacked.mean(axis=0)
-            if strict_null_fallback:
-                return null_index, mean
-            return int(np.argmax(mean[:null_index])), mean
-        mean = kept.mean(axis=0)
-    else:
-        mean = stacked.mean(axis=0)
-    return int(np.argmax(mean)), mean
-
-
-def _aggregate_majority(stacked: np.ndarray, postprocessing: bool, strict_null_fallback: bool) -> int:
-    null_index = stacked.shape[1] - 1
-    argmaxes = np.argmax(stacked, axis=1)
-    if postprocessing:
-        argmaxes = argmaxes[argmaxes != null_index]
-        if len(argmaxes) == 0:
-            mean = stacked.mean(axis=0)
-            if strict_null_fallback:
-                return null_index
-            return int(np.argmax(mean[:null_index]))
-    counts = np.bincount(argmaxes, minlength=null_index + 1)
-    return int(np.argmax(counts))  # ties fall to the lower class index
-
-
 def aggregate(P: Sequence[ProbVector], visible: bool, vocab: ClassVocabulary, *,
               postprocessing: bool = True, strict_null_fallback: bool = False
               ) -> tuple[int, ProbVector]:
@@ -196,15 +159,22 @@ def aggregate(P: Sequence[ProbVector], visible: bool, vocab: ClassVocabulary, *,
     the empty-selection fallback.
     """
     stacked = _stack(P)
+    null_index = vocab.null_index
     if stacked.shape[1] != vocab.num_classes:
         raise ValidationError(
             f"window probabilities have {stacked.shape[1]} classes, vocabulary has {vocab.num_classes}"
         )
     if not visible:
         one_hot = np.zeros(vocab.num_classes)
-        one_hot[vocab.null_index] = 1.0
-        return vocab.null_index, ProbVector(values=one_hot)
-    identity, mean = _aggregate_mean(stacked, postprocessing, strict_null_fallback)
+        one_hot[null_index] = 1.0
+        return null_index, ProbVector(values=one_hot)
+    kept = stacked[np.argmax(stacked, axis=1) != null_index] if postprocessing else stacked
+    if len(kept) == 0:
+        mean = stacked.mean(axis=0)
+        identity = null_index if strict_null_fallback else int(np.argmax(mean[:null_index]))
+    else:
+        mean = kept.mean(axis=0)
+        identity = int(np.argmax(mean))
     return identity, ProbVector(values=mean / mean.sum())
 
 
@@ -212,9 +182,18 @@ def aggregate_majority(P: Sequence[ProbVector], visible: bool, *,
                        postprocessing: bool = True, strict_null_fallback: bool = False) -> int:
     """Mode of the non-null window argmaxes; null when not visible."""
     stacked = _stack(P)
+    null_index = stacked.shape[1] - 1
     if not visible:
-        return stacked.shape[1] - 1
-    return _aggregate_majority(stacked, postprocessing, strict_null_fallback)
+        return null_index
+    argmaxes = np.argmax(stacked, axis=1)
+    if postprocessing:
+        argmaxes = argmaxes[argmaxes != null_index]
+        if len(argmaxes) == 0:
+            if strict_null_fallback:
+                return null_index
+            return int(np.argmax(stacked.mean(axis=0)[:null_index]))
+    counts = np.bincount(argmaxes, minlength=null_index + 1)
+    return int(np.argmax(counts))  # ties fall to the lower class index
 
 
 def identify(tracklet: Track, team: TeamLabel, p_jn: ProbVector,
@@ -249,10 +228,18 @@ class Rosters:
 
 @dataclass(frozen=True)
 class TrackIdentity:
+    """One tracklet's team, identities and aggregated distribution.
+
+    ``identity_unmasked`` is the aggregation's answer; ``identity`` is the
+    roster-masked answer when the run masks rosters and equals
+    ``identity_unmasked`` otherwise.
+    """
+
     track_id: int
     team: TeamLabel
     identity: int
     p_jn: ProbVector
+    identity_unmasked: int
 
 
 def run_pipeline(tracks: Iterable[Track], scorers: Scorers, rosters: Rosters | None,
@@ -260,44 +247,30 @@ def run_pipeline(tracks: Iterable[Track], scorers: Scorers, rosters: Rosters | N
                  mask_rosters: bool = True) -> list[TrackIdentity]:
     """Team vote, window inference, visibility gate, aggregation, masking.
 
-    With ``mask_rosters`` false (or no rosters supplied) the unmasked
-    aggregation argmax is reported instead of the roster-masked one.
-    The aggregation method only selects how the unmasked identity is
-    produced; roster masking always applies to the averaged ``p_jn``.
+    Each tracklet is scored once and both identities are filled (see
+    :class:`TrackIdentity`). The aggregation method only selects how the
+    unmasked identity is produced; roster masking always applies to the
+    averaged ``p_jn``.
     """
     if mask_rosters and rosters is None:
         raise ValidationError("roster masking requested but no rosters supplied")
+    options = dict(postprocessing=params.postprocessing,
+                   strict_null_fallback=params.strict_null_fallback)
     results = []
     for trk in tracks:
         team = team_vote(trk, scorers.team)
         P = window_probs(trk, scorers.window, params)
-        visible = True
-        if params.visibility_filtering:
-            visible = jersey_visible(trk, scorers.frame, params.theta)
+        visible = not params.visibility_filtering or jersey_visible(trk, scorers.frame, params.theta)
+        unmasked, p_jn = aggregate(P, visible, vocab, **options)
         if params.method == "majority":
-            identity = aggregate_majority(
-                P, visible,
-                postprocessing=params.postprocessing,
-                strict_null_fallback=params.strict_null_fallback,
-            )
-            _, p_jn = aggregate(
-                P, visible,
-                vocab,
-                postprocessing=params.postprocessing,
-                strict_null_fallback=params.strict_null_fallback,
-            )
-        else:
-            identity, p_jn = aggregate(
-                P, visible,
-                vocab,
-                postprocessing=params.postprocessing,
-                strict_null_fallback=params.strict_null_fallback,
-            )
+            unmasked = aggregate_majority(P, visible, **options)
+        identity = unmasked
         if team is TeamLabel.REFEREE:
-            identity = REFEREE_CLASS
-        elif mask_rosters and rosters is not None:
+            identity = unmasked = REFEREE_CLASS
+        elif mask_rosters:
             identity = identify(trk, team, p_jn, rosters.home, rosters.away)
-        results.append(TrackIdentity(track_id=trk.track_id, team=team, identity=identity, p_jn=p_jn))
+        results.append(TrackIdentity(track_id=trk.track_id, team=team, identity=identity,
+                                     p_jn=p_jn, identity_unmasked=unmasked))
     return results
 
 

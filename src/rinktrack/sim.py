@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     check_int,
     default_vocabulary,
+    known_fields,
     save_detection_file,
     save_rosters,
 )
@@ -36,6 +37,19 @@ from .ident import REFEREE_CLASS, window_starts
 
 # Salts separating the per-purpose random streams.
 _MOTION, _NOISE, _VISIBILITY, _FRAME, _TEAM, _WINDOW, _ROSTER = range(7)
+_TEAM_SLOT = {"home": 0, "away": 1, "referee": 2}
+
+# The file name of each input a bundle writes, by its ``paths`` key.
+BUNDLE_FILES = {
+    "gt": "gt.csv",
+    "detections": "det.csv",
+    "rosters": "rosters.json",
+    "vocab": "vocab.json",
+    "frame_scores": "frame_scores.jsonl",
+    "team_scores": "team_scores.jsonl",
+    "window_scores": "window_scores.jsonl",
+    "truth": "truth.json",
+}
 
 
 @dataclass(frozen=True)
@@ -126,7 +140,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
-        kwargs = dict(data)
+        kwargs = known_fields(cls, data)
         if "pan_profile" in kwargs:
             try:
                 pairs = [(float(f), float(o)) for f, o in kwargs["pan_profile"]]
@@ -149,9 +163,6 @@ class ScenarioConfig:
         for name in ("speed_range", "vocab_labels", "home_roster", "away_roster"):
             if kwargs.get(name) is not None:
                 kwargs[name] = tuple(kwargs[name])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -164,6 +175,12 @@ class TrackTruth:
     team: str  # "home" | "away" | "referee"
     jersey: int | None  # None for referees and never-visible tracklets
     null_tracklet: bool
+
+    def expected_class(self, vocab: ClassVocabulary) -> int:
+        """Expected identification output: the class index, or the referee sentinel."""
+        if self.team == "referee":
+            return REFEREE_CLASS
+        return vocab.null_index if self.jersey is None else vocab.index_of(self.jersey)
 
 
 @dataclass(frozen=True)
@@ -192,10 +209,9 @@ class GroundTruthBundle:
 
     def __post_init__(self) -> None:
         # Per-frame id/corner arrays, built on the first lookup so runs that
-        # never match boxes never pay for them, plus a memo since every
-        # tracklet frame is queried once per window.
+        # never match boxes never pay for them.
         self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-        self._match_cache: dict[tuple, int | None] = {}
+        self._owned: _Ownership | None = None
 
     def _index_frames(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Each frame's ground-truth ids and corners, its rows in ``gt_tracks`` order."""
@@ -221,56 +237,44 @@ class GroundTruthBundle:
 
     def match_gt(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
         """Ground-truth track owning a box at a frame, by best IoU."""
-        key = (frame, box.x, box.y, box.w, box.h, min_iou)
-        if key in self._match_cache:
-            return self._match_cache[key]
         if self._gt_by_frame is None:
             self._gt_by_frame = self._index_frames()
-        result: int | None = None
         entry = self._gt_by_frame.get(frame)
-        if entry is not None:
-            ids, corners = entry
-            ix = np.minimum(box.x2, corners[:, 2]) - np.maximum(box.x, corners[:, 0])
-            iy = np.minimum(box.y2, corners[:, 3]) - np.maximum(box.y, corners[:, 1])
-            inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
-            areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
-            overlap = inter / (box.area + areas - inter)
-            best = int(np.argmax(overlap))
-            if overlap[best] >= min_iou:
-                result = int(ids[best])
-        self._match_cache[key] = result
-        return result
+        if entry is None:
+            return None
+        ids, corners = entry
+        ix = np.minimum(box.x2, corners[:, 2]) - np.maximum(box.x, corners[:, 0])
+        iy = np.minimum(box.y2, corners[:, 3]) - np.maximum(box.y, corners[:, 1])
+        inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
+        areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+        overlap = inter / (box.area + areas - inter)
+        best = int(np.argmax(overlap))
+        return int(ids[best]) if overlap[best] >= min_iou else None
+
+    def _ownership(self, track: Track) -> "_Ownership":
+        """Owners and number-visible flags of ``track``'s detections.
+
+        Only the most recent tracklet is kept: every caller scores one
+        tracklet at a time, so its frames and windows share one match.
+        """
+        if self._owned is None or self._owned.track is not track:
+            self._owned = _Ownership(self, track)
+        return self._owned
 
     def track_truth(self, track: Track) -> TrackTruth | None:
         """Majority ground-truth identity over a (possibly tracker-made) tracklet."""
-        votes: dict[int, int] = {}
-        for det in track.detections:
-            tid = self.match_gt(det.frame, det.box)
-            if tid is not None:
-                votes[tid] = votes.get(tid, 0) + 1
-        if not votes:
-            return None
-        winner = max(sorted(votes), key=lambda t: votes[t])
-        return self.truth[winner]
+        gt_id = self._ownership(track).owner(0, len(track))
+        return None if gt_id is None else self.truth[gt_id]
 
     def expected_class(self, track: Track) -> int | None:
         """Expected identification output for a tracklet (class index or referee sentinel)."""
         truth = self.track_truth(track)
-        if truth is None:
-            return None
-        if truth.team == "referee":
-            return REFEREE_CLASS
-        if truth.jersey is None:
-            return self.vocab.null_index
-        return self.vocab.index_of(truth.jersey)
+        return None if truth is None else truth.expected_class(self.vocab)
 
     # -- oracle scorers -------------------------------------------------------
 
     def _rng(self, salt: int, *keys: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, salt, *[k & 0x7FFFFFFF for k in keys]])
-
-    def _frame_visible(self, gt_id: int, frame: int) -> bool:
-        return frame in self.visible_frames.get(gt_id, frozenset())
 
     def frame_scorer(self) -> "OracleFrameScorer":
         return OracleFrameScorer(self)
@@ -287,29 +291,19 @@ class GroundTruthBundle:
         """Write every pipeline input plus the truth sidecar; returns the manifest."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = {
-            "gt": "gt.csv",
-            "detections": "det.csv",
-            "rosters": "rosters.json",
-            "vocab": "vocab.json",
-            "frame_scores": "frame_scores.jsonl",
-            "team_scores": "team_scores.jsonl",
-            "window_scores": "window_scores.jsonl",
-            "truth": "truth.json",
-        }
         gt_rows = [(trk.track_id, det) for trk in self.gt_tracks for det in trk.detections]
         gt_rows.sort(key=lambda r: (r[1].frame, r[0]))
-        save_detection_file(gt_rows, out / files["gt"])
-        save_detection_file(self.detections, out / files["detections"])
-        save_rosters(self.home_roster, self.away_roster, out / files["rosters"])
-        self.vocab.to_json(out / files["vocab"])
+        save_detection_file(gt_rows, out / BUNDLE_FILES["gt"])
+        save_detection_file(self.detections, out / BUNDLE_FILES["detections"])
+        save_rosters(self.home_roster, self.away_roster, out / BUNDLE_FILES["rosters"])
+        self.vocab.to_json(out / BUNDLE_FILES["vocab"])
 
         frame_scorer = self.frame_scorer()
         team_scorer = self.team_scorer()
         window_scorer = self.window_scorer()
-        with (out / files["frame_scores"]).open("w") as frame_file, \
-                (out / files["team_scores"]).open("w") as team_file, \
-                (out / files["window_scores"]).open("w") as window_file:
+        with (out / BUNDLE_FILES["frame_scores"]).open("w") as frame_file, \
+                (out / BUNDLE_FILES["team_scores"]).open("w") as team_file, \
+                (out / BUNDLE_FILES["window_scores"]).open("w") as window_file:
             for trk in self.gt_tracks:
                 for i, det in enumerate(trk.detections):
                     frame_file.write(json.dumps({
@@ -339,12 +333,12 @@ class GroundTruthBundle:
                 for g in self.pan_gaps
             ],
         }
-        (out / files["truth"]).write_text(json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
+        (out / BUNDLE_FILES["truth"]).write_text(json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
 
         manifest = {
             "seed": self.seed,
             "config": self.config.to_dict(),
-            "files": {k: str(out / v) for k, v in files.items()},
+            "files": {k: str(out / v) for k, v in BUNDLE_FILES.items()},
         }
         (out / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest
@@ -363,6 +357,33 @@ def _spread_remainder(probs: np.ndarray, exclude_null: bool) -> np.ndarray:
     return probs / probs.sum()
 
 
+class _Ownership:
+    """One tracklet's ground-truth owners, matched once, and prefix sums for its windows.
+
+    ``owners[i]`` is detection ``i``'s ``match_gt`` owner (None when
+    unmatched); ``visible[i]`` says whether its number shows, judged by
+    that detection's own owner. ``counts[j, i]`` is how many of the first
+    ``i`` detections ``ids[j]`` owns; ``visible_counts[i]`` counts flags.
+    """
+
+    def __init__(self, bundle: GroundTruthBundle, track: Track):
+        self.track = track
+        self.owners = [bundle.match_gt(d.frame, d.box) for d in track.detections]
+        self.visible = [o is not None and d.frame in bundle.visible_frames.get(o, ())
+                        for o, d in zip(self.owners, track.detections)]
+        self.ids = sorted({o for o in self.owners if o is not None})
+        self.counts = np.cumsum([[0, *(o == tid for o in self.owners)] for tid in self.ids], axis=-1)
+        self.visible_counts = np.cumsum([0, *self.visible])
+
+    def owner(self, start: int, end: int) -> int | None:
+        """The id owning the most of detections ``start:end``; ties go to the smaller id."""
+        if not self.ids:
+            return None
+        in_window = self.counts[:, end] - self.counts[:, start]
+        best = int(np.argmax(in_window))
+        return self.ids[best] if in_window[best] > 0 else None
+
+
 class OracleFrameScorer:
     """Image-classifier stand-in: low null mass exactly on number-visible frames."""
 
@@ -370,20 +391,20 @@ class OracleFrameScorer:
         self.bundle = bundle
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
-        det = track.detections[index]
-        gt_id = self.bundle.match_gt(det.frame, det.box)
-        n = self.bundle.vocab.num_classes
-        rng = self.bundle._rng(_FRAME, gt_id if gt_id is not None else -1, det.frame)
-        probs = np.zeros(n)
+        bundle = self.bundle
+        owned = bundle._ownership(track)
+        gt_id = owned.owners[index]
+        probs = np.zeros(bundle.vocab.num_classes)
         if gt_id is None:
             probs[-1] = 0.9
-        elif self.bundle._frame_visible(gt_id, det.frame):
+            return _spread_remainder(probs, exclude_null=True)
+        rng = bundle._rng(_FRAME, gt_id, track.detections[index].frame)
+        if owned.visible[index]:
             # Mostly below the default gate (0.01) but occasionally above
             # it, so threshold sweeps see false negatives at tiny values.
-            truth = self.bundle.truth[gt_id]
             null_mass = rng.uniform(0.003, 0.012)
             probs[-1] = null_mass
-            probs[self.bundle.vocab.index_of(truth.jersey)] = (1.0 - null_mass) * 0.85
+            probs[bundle.vocab.index_of(bundle.truth[gt_id].jersey)] = (1.0 - null_mass) * 0.85
         else:
             probs[-1] = rng.uniform(0.05, 0.99)
         return _spread_remainder(probs, exclude_null=True)
@@ -396,13 +417,15 @@ class OracleTeamScorer:
         self.bundle = bundle
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
-        det = track.detections[index]
-        gt_id = self.bundle.match_gt(det.frame, det.box)
-        rng = self.bundle._rng(_TEAM, gt_id if gt_id is not None else -1, det.frame)
-        slot = {"home": 0, "away": 1, "referee": 2}
-        chosen = 0 if gt_id is None else slot[self.bundle.truth[gt_id].team]
-        if self.bundle.config.team_noise > 0 and rng.random() < self.bundle.config.team_noise:
-            chosen = int(rng.choice([c for c in range(3) if c != chosen]))
+        bundle = self.bundle
+        gt_id = bundle._ownership(track).owners[index]
+        chosen = 0 if gt_id is None else _TEAM_SLOT[bundle.truth[gt_id].team]
+        noise = bundle.config.team_noise
+        if noise > 0:
+            rng = bundle._rng(_TEAM, gt_id if gt_id is not None else -1,
+                              track.detections[index].frame)
+            if rng.random() < noise:
+                chosen = int(rng.choice([c for c in range(3) if c != chosen]))
         probs = np.full(3, 0.05)
         probs[chosen] = 0.9
         return probs
@@ -411,10 +434,12 @@ class OracleTeamScorer:
 class OracleWindowScorer:
     """Tracklet-window distribution driven by visibility and confusion knobs.
 
-    Windows with no number-visible frame concentrate on null. Otherwise
-    the true class receives mass that grows with the window's visible
-    fraction, except when the configured confusion triggers for that
-    window, in which case the substitute class takes the top slot.
+    The window's owner is the ground-truth track owning the most of its
+    detections (ties to the smaller id). Windows without an owner, or
+    with no number-visible frame, concentrate on null. Otherwise the true
+    class receives mass that grows with the window's visible fraction,
+    except when the configured confusion triggers for that window, in
+    which case the substitute class takes the top slot.
     """
 
     def __init__(self, bundle: GroundTruthBundle):
@@ -423,25 +448,15 @@ class OracleWindowScorer:
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
         bundle = self.bundle
         vocab = bundle.vocab
-        n = vocab.num_classes
-        dets = track.detections[start:start + length]
-
-        owners: dict[int, int] = {}
-        visible = 0
-        for det in dets:
-            gt_id = bundle.match_gt(det.frame, det.box)
-            if gt_id is None:
-                continue
-            owners[gt_id] = owners.get(gt_id, 0) + 1
-            if bundle._frame_visible(gt_id, det.frame):
-                visible += 1
-        probs = np.zeros(n)
-        if not owners:
+        owned = bundle._ownership(track)
+        end = min(start + length, len(track))
+        gt_id = owned.owner(start, end)
+        probs = np.zeros(vocab.num_classes)
+        if gt_id is None:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
-        gt_id = max(sorted(owners), key=lambda t: owners[t])
         truth = bundle.truth[gt_id]
-        vis_frac = visible / len(dets)
+        vis_frac = int(owned.visible_counts[end] - owned.visible_counts[start]) / (end - start)
 
         if truth.team == "referee" or truth.jersey is None or vis_frac == 0.0:
             probs[-1] = 0.85
@@ -449,13 +464,10 @@ class OracleWindowScorer:
 
         true_class = vocab.index_of(truth.jersey)
         spec = bundle.config.confusion.get(truth.jersey)
-        rng = bundle._rng(_WINDOW, gt_id, dets[0].frame)
-        triggered = spec is not None and rng.random() < spec.prob
-        if triggered:
-            sub_mass = 0.45 + 0.20 * spec.strength
-            true_mass = 0.40 - 0.30 * spec.strength
-            probs[vocab.index_of(spec.substitute)] = sub_mass
-            probs[true_class] = true_mass
+        first_frame = track.detections[start].frame
+        if spec is not None and bundle._rng(_WINDOW, gt_id, first_frame).random() < spec.prob:
+            probs[vocab.index_of(spec.substitute)] = 0.45 + 0.20 * spec.strength
+            probs[true_class] = 0.40 - 0.30 * spec.strength
         else:
             probs[true_class] = 0.55 + 0.25 * vis_frac
         headroom = 1.0 - probs.sum()

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Track, ValidationError, check_int, check_unit
+from .core import (BoundingBox, Detection, Track, ValidationError, check_int, check_unit,
+                   known_fields)
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,8 @@ class TrackerParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrackerParams":
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in data:
-                value = data[name]
-                kwargs[name] = tuple(value) if isinstance(value, (list, tuple)) else value
-        return cls(**kwargs)
+        return cls(**{name: tuple(value) if isinstance(value, (list, tuple)) else value
+                      for name, value in known_fields(cls, data).items()})
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

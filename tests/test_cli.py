@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rinktrack import metrics
+from rinktrack import cli, metrics
 from rinktrack.cli import main
 
 SCENARIO = {
@@ -142,6 +142,19 @@ class TestConfigSections:
         assert f"{section}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, section, fields, message", [
+        ("track", "tracker", {"max_agee": 5}, "unknown fields: ['max_agee']"),
+        ("identify", "ident", {"windw": 9}, "unknown fields: ['windw']"),
+        ("eval", "metrics", {"delt": 3}, "unknown fields: ['delt']"),
+        ("track", "tracker", ["max_age"], "must be a JSON object, got ['max_age']"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, command, section, fields,
+                                           message):
+        config = write_config(tmp_path / "config.json", **{section: fields})
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"{config}: {section}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]\n")
@@ -259,6 +272,53 @@ class TestIdentify:
         assert f"{path}:5: " in capsys.readouterr().err
 
 
+    def test_one_identification_pass(self, workspace, monkeypatch):
+        tmp_path, config, _ = workspace
+        calls = []
+        real = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [{"mask_rosters": True}]
+
+
+class TestInputFiles:
+    """Vocabulary, roster and truth files are checked where they are read (exit 1, file named)."""
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("vocab.json", ["a", 2], "vocabulary entries must be integers, got 'a'"),
+        ("vocab.json", [1, True], "vocabulary entries must be integers, got True"),
+        ("vocab.json", [1, 1.5], "vocabulary entries must be integers, got 1.5"),
+        ("vocab.json", {"labels": [1]}, "vocabulary must be a list of integers"),
+        ("vocab.json", [1, 1], "duplicate jersey labels: [1]"),
+        ("rosters.json", {"home": ["x"], "away": [4]}, "home roster entries must be integers, got 'x'"),
+        ("rosters.json", {"home": [1], "away": 4}, "away roster must be a list of integers, got 4"),
+        ("truth.json", {"track": {}}, 'truth file must be an object with a "tracks" object'),
+        ("truth.json", {"tracks": {"1": {"team": "goalie", "jersey": 1}}},
+         "track '1': team must be one of home, away, referee"),
+        ("truth.json", {"tracks": {"1": {"team": "home", "jersey": "7"}}},
+         "track '1': jersey must be an integer or null, got '7'"),
+        ("truth.json", {"tracks": {"1": {"team": "home", "jersey": 1.5}}},
+         "track '1': jersey must be an integer or null, got 1.5"),
+        ("truth.json", {"tracks": {"one": {"team": "home", "jersey": 1}}},
+         "track 'one': track ids must be integers"),
+    ])
+    def test_invalid_entry_exits_1_naming_the_file(self, workspace, capsys, name, content,
+                                                   message):
+        tmp_path, config, bundle_dir = workspace
+        path = bundle_dir / name
+        path.write_text(json.dumps(content))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["vocab.json", "rosters.json", "truth.json"])
+    def test_malformed_json_exits_1_naming_the_file(self, workspace, capsys, name):
+        tmp_path, config, bundle_dir = workspace
+        (bundle_dir / name).write_text("{not json")
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {bundle_dir / name}: invalid JSON" in capsys.readouterr().err
+
+
 class TestEval:
     def test_self_evaluation_perfect_row(self, workspace):
         tmp_path, config, _ = workspace
@@ -358,3 +418,35 @@ class TestPipeline:
                     "pan_sweep.csv", "bundle/gt.csv", "bundle/det.csv"):
             assert ((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes()), rel
+
+    def test_simulated_run_rejects_configured_inputs(self, tmp_path, capsys):
+        # Another bundle's gt and rosters: before, the fresh scene was scored
+        # against them and the run reported MOTA -100% with exit 0.
+        other = tmp_path / "other"
+        config = write_config(tmp_path / "config.json")
+        assert main(["simulate", "--config", str(config), "--seed", "9",
+                     "--out", str(other)]) == 0
+        stale = write_config(tmp_path / "stale.json", paths={
+            "gt": str(other / "gt.csv"), "rosters": str(other / "rosters.json")})
+        assert main(["pipeline", "--config", str(stale), "--seed", "4",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "paths.gt, paths.rosters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulated_run_reads_its_own_bundle(self, tmp_path, monkeypatch):
+        config = cli.load_config(write_config(
+            tmp_path / "config.json", paths={"tracks": "elsewhere.csv"},
+            videos=[{"name": "other", "gt": "a.csv", "tracks": "b.csv"}]))
+        before = (dict(config.paths), list(config.videos))
+        calls = []
+        real = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        out = tmp_path / "out"
+        assert cli.cmd_pipeline(config, 4, out, mask_rosters=True, method=None) == 0
+        assert (dict(config.paths), list(config.videos)) == before
+        assert calls == [{"mask_rosters": True}]
+        report = json.loads((out / "report.json").read_text())
+        assert [v["name"] for v in report["per_video"]] == ["video_0"]
+        assert report["aggregate"]["mota"] == 1.0
+        assert report["identification_accuracy"] == {"with_roster": 1.0, "without_roster": 1.0}

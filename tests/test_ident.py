@@ -521,6 +521,24 @@ class TestRunPipeline:
         assert avg[0].identity == 0
         assert maj[0].identity == 1
 
+    @pytest.mark.parametrize("method", ["avg", "majority"])
+    def test_one_pass_fills_both_arms(self, method):
+        # Majority and the mean disagree on the unmasked answer, and the home
+        # roster (jersey 10 only) overrides both.
+        windows = [np.array([0.40, 0.45, 0.15])] * 3 + [np.array([0.80, 0.05, 0.15])] * 2
+        scorers = self._scorers(TeamLabel.HOME, windows, [0.005] * 7)
+        rosters = Rosters(home=build_roster_vector({20}, VOCAB2),
+                          away=build_roster_vector({10}, VOCAB2))
+        params = IdentParams(window=3, method=method)
+        tracks = [make_track(length=7)]
+        (masked,) = run_pipeline(tracks, scorers, rosters, VOCAB2, params, mask_rosters=True)
+        (unmasked,) = run_pipeline(tracks, scorers, rosters, VOCAB2, params, mask_rosters=False)
+        assert masked.identity_unmasked == unmasked.identity == unmasked.identity_unmasked
+        assert masked.identity == 1
+        assert unmasked.identity == (0 if method == "avg" else 1)
+        assert masked.team == unmasked.team
+        assert np.array_equal(masked.p_jn.values, unmasked.p_jn.values)
+
     def test_masking_without_rosters_is_error(self):
         scorers = self._scorers(TeamLabel.HOME, [np.array([0.6, 0.3, 0.1])], [0.005])
         with pytest.raises(ValidationError):

@@ -84,11 +84,11 @@ def main() -> int:
     gain = accuracies["with rosters"] - accuracies["without rosters"]
     print(f"  roster gain       {100 * gain:+6.2f}%\n")
 
-    idsw = report.idsw
     print("pan-gap sweep (delta, count, share of identity switches)")
     for delta, count in metrics.pan_sweep(bundle.gt_tracks, range(40, 81, 5)):
-        share = "n/a" if idsw == 0 else f"{count / idsw:.2f}"
-        print(f"  {delta:>3}  {count:>3}  {share}")
+        share = metrics.pan_proportion(count, report.idsw)
+        shown = "n/a" if share is None else f"{share:.2f}"
+        print(f"  {delta:>3}  {count:>3}  {shown}")
     return 0
 
 

@@ -104,6 +104,8 @@ def load_config(path: str | Path) -> RunConfig:
         paths, videos = dict(data.get("paths", {})), list(data.get("videos", []))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
+    if not all(isinstance(entry, dict) for entry in videos):
+        raise ConfigError(f"{p}: videos must be a list of objects, got {data['videos']!r}")
     return RunConfig(
         paths=paths,
         videos=videos,
@@ -282,23 +284,39 @@ def _clip_to_overlap(name: str, gt_rows: list[core.Row], pred_rows: list[core.Ro
     return clip(gt_rows), clip(pred_rows)
 
 
+def _eval_rows(path: str | Path) -> list[core.Row]:
+    """An eval input's rows: every id is a tracked id (>= 0), listed at most once a frame."""
+    rows = core.parse_detection_file(path)
+    seen = set()
+    for track_id, det in rows:
+        if track_id < 0:
+            raise ValidationError(f"{path}: frame {det.frame}: id {track_id} is not a track id; "
+                                  f"eval scores ids >= 0, and raw detections carry -1")
+        if (det.frame, track_id) in seen:
+            raise ValidationError(f"{path}: frame {det.frame}: id {track_id} is listed more "
+                                  f"than once")
+        seen.add((det.frame, track_id))
+    return rows
+
+
 def _eval_videos(config: RunConfig) -> list[tuple[str, list[core.Row], list[core.Row]]]:
     videos = []
     if config.videos:
         for entry in config.videos:
             name = entry.get("name", f"video_{len(videos)}")
+            if not isinstance(name, str):
+                raise ConfigError(f"videos entry names must be strings, got {name!r}")
             for key in ("gt", "tracks"):
                 if key not in entry:
                     raise ConfigError(f"videos entry {name!r} is missing {key!r}")
+                if not isinstance(entry[key], str):
+                    raise ConfigError(f"videos entry {name!r}: {key} must be a path, "
+                                      f"got {entry[key]!r}")
                 if not Path(entry[key]).exists():
                     raise ConfigError(f"videos entry {name!r}: file not found: {entry[key]}")
-            videos.append((name,
-                           core.parse_detection_file(entry["gt"]),
-                           core.parse_detection_file(entry["tracks"])))
+            videos.append((name, _eval_rows(entry["gt"]), _eval_rows(entry["tracks"])))
     else:
-        videos.append(("video_0",
-                       core.parse_detection_file(config.path("gt")),
-                       core.parse_detection_file(config.path("tracks"))))
+        videos.append(("video_0", _eval_rows(config.path("gt")), _eval_rows(config.path("tracks"))))
     return videos
 
 
@@ -344,16 +362,12 @@ def cmd_eval(config: RunConfig, out_dir: Path, extra: dict | None = None) -> int
     pan_rows = []
     sweep_rows = []
     for row, tracks in zip(report.per_video, gt_tracks):
-        pan_rows.append({
-            "name": row.name,
-            "pan_idsw": metrics.pan_idsw(tracks, mparams.delta),
-            "proportion": metrics.pan_proportion(tracks, row.idsw, mparams.delta),
-        })
-        for delta, count in metrics.pan_sweep(tracks, mparams.sweep):
-            sweep_rows.append({
-                "video": row.name, "delta": delta, "pan_idsw": count,
-                "proportion": None if row.idsw == 0 else count / row.idsw,
-            })
+        (_, pan_count), *sweep = metrics.pan_sweep(tracks, [mparams.delta, *mparams.sweep])
+        pan_rows.append({"name": row.name, "pan_idsw": pan_count,
+                         "proportion": metrics.pan_proportion(pan_count, row.idsw)})
+        sweep_rows += [{"video": row.name, "delta": delta, "pan_idsw": count,
+                        "proportion": metrics.pan_proportion(count, row.idsw)}
+                       for delta, count in sweep]
     _write_report(out_dir, report, pan_rows, mparams, sweep_rows, extra)
     print(metrics.format_report_table(report), end="")
     print(f"report -> {out_dir / 'report.json'}")

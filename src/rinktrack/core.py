@@ -34,9 +34,14 @@ def check_int(name: str, value, low: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """True for a real number that is not a bool: JSON ``true`` is not 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_unit(name: str, value) -> None:
     """Reject anything but a number in [0, 1]; bools and NaN are rejected too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+    if not is_number(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be a number in [0, 1], got {value!r}")
 
 

@@ -14,7 +14,6 @@ synthetic oracles in :mod:`rinktrack.sim`.
 from __future__ import annotations
 
 import json
-import numbers
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .core import (
     ValidationError,
     check_bool,
     check_int,
+    is_number,
     known_fields,
 )
 
@@ -82,8 +82,7 @@ class IdentParams:
     strict_null_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.theta, bool) or not (
-                isinstance(self.theta, numbers.Real) and 0.0 < self.theta < 1.0):
+        if not (is_number(self.theta) and 0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must be in (0, 1), got {self.theta!r}")
         check_int("window", self.window, 1)
         check_int("stride", self.stride, 1)

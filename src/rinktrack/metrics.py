@@ -7,7 +7,10 @@ predictions stay in the interchange representation end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,12 +27,14 @@ class FrameMatching:
 
     ``matches[f]`` holds (gt_id, pred_id) pairs; ``unmatched_gt[f]`` are
     the frame's false negatives and ``unmatched_pred[f]`` its false
-    positives.
+    positives. ``overlaps[(gt_id, pred_id)]`` counts the frames on which the
+    pair overlaps at or above the threshold, matched or not (IDF1's input).
     """
 
     matches: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     unmatched_gt: dict[int, list[int]] = field(default_factory=dict)
     unmatched_pred: dict[int, list[int]] = field(default_factory=dict)
+    overlaps: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def num_fn(self) -> int:
@@ -43,15 +48,20 @@ class FrameMatching:
     def gt_total(self) -> int:
         return self.num_fn + sum(len(v) for v in self.matches.values())
 
+    @property
+    def pred_total(self) -> int:
+        return self.num_fp + sum(len(v) for v in self.matches.values())
+
 
 def match_frames(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -> FrameMatching:
-    """CLEAR-style matching with persistence.
+    """CLEAR-style matching with persistence, and the pair overlap counts.
 
     A pair matched on the previous frame stays matched while both ids
     are present and still overlap at or above the threshold; everything
-    else is resolved per frame by min-cost assignment on 1 - IoU.
+    else is resolved per frame by min-cost assignment on 1 - IoU. An id
+    listed twice on one frame, on either side, is a ValidationError.
     """
-    result = FrameMatching()
+    result = FrameMatching(overlaps=Counter())
     prev: dict[int, int] = {}  # gt_id -> pred_id carried across frames
     frames = sorted(set(gt) | set(pred))
     for f in frames:
@@ -59,7 +69,13 @@ def match_frames(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -
         pred_items = list(pred.get(f, ()))
         gt_ids = [g for g, _ in gt_items]
         pred_ids = [p for p, _ in pred_items]
+        for side, ids in (("ground-truth", gt_ids), ("predicted", pred_ids)):
+            if len(set(ids)) < len(ids):
+                repeated = next(i for i in ids if ids.count(i) > 1)
+                raise ValidationError(f"frame {f}: {side} id {repeated} is listed more than once")
         overlap = iou_matrix([b for _, b in gt_items], [b for _, b in pred_items])
+        above = overlap >= iou_threshold
+        result.overlaps.update((gt_ids[i], pred_ids[j]) for i, j in np.argwhere(above).tolist())
 
         pred_index = {p: j for j, p in enumerate(pred_ids)}
         matched: list[tuple[int, int]] = []
@@ -70,7 +86,7 @@ def match_frames(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -
             if p is None or p not in pred_index or p in used_pred:
                 continue
             j = pred_index[p]
-            if overlap[i, j] >= iou_threshold:
+            if above[i, j]:
                 matched.append((g, p))
                 used_gt.add(g)
                 used_pred.add(p)
@@ -81,7 +97,7 @@ def match_frames(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -
             cost = 1.0 - overlap[np.ix_(rem_gt, rem_pred)]
             for ri, rj in hungarian(cost):
                 i, j = rem_gt[ri], rem_pred[rj]
-                if overlap[i, j] >= iou_threshold:
+                if above[i, j]:
                     matched.append((gt_ids[i], pred_ids[j]))
                     used_gt.add(gt_ids[i])
                     used_pred.add(pred_ids[j])
@@ -119,6 +135,22 @@ def mota(fp: int, fn: int, idsw: int, gt_total: int) -> float:
     return 1.0 - (fn + fp + idsw) / gt_total
 
 
+def _idtp(overlaps: Mapping[tuple[int, int], int]) -> int:
+    """IDTP: the most co-detection frames a one-to-one identity mapping keeps.
+    Ids without an overlap stay out: all-zero rows and columns cannot change it."""
+    gt_index = {g: i for i, g in enumerate(sorted({g for g, _ in overlaps}))}
+    pred_index = {p: j for j, p in enumerate(sorted({p for _, p in overlaps}))}
+    gains = np.zeros((len(gt_index), len(pred_index)))
+    for (g, p), c in overlaps.items():
+        gains[gt_index[g], pred_index[p]] = c
+    return int(sum(gains[i, j] for i, j in hungarian(-gains)))
+
+
+def _idf1(idtp: int, total_gt: int, total_pred: int) -> float:
+    """2 IDTP / (2 IDTP + IDFP + IDFN); IDTP + IDFN and IDTP + IDFP are the row totals."""
+    return 2.0 * idtp / (total_gt + total_pred)
+
+
 def idf1_components(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5
                     ) -> tuple[int, int, int]:
     """(IDTP, total gt detections, total pred detections) for IDF1.
@@ -127,67 +159,39 @@ def idf1_components(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5
     appear and overlap at or above the threshold; IDTP maximizes the
     total matched frames over one-to-one identity mappings.
     """
-    gt_count: dict[int, int] = {}
-    pred_count: dict[int, int] = {}
-    overlap_count: dict[tuple[int, int], int] = {}
-    frames = sorted(set(gt) | set(pred))
-    for f in frames:
-        gt_items = list(gt.get(f, ()))
-        pred_items = list(pred.get(f, ()))
-        for g, _ in gt_items:
-            gt_count[g] = gt_count.get(g, 0) + 1
-        for p, _ in pred_items:
-            pred_count[p] = pred_count.get(p, 0) + 1
-        if gt_items and pred_items:
-            overlap = iou_matrix([b for _, b in gt_items], [b for _, b in pred_items])
-            for i, (g, _) in enumerate(gt_items):
-                for j, (p, _) in enumerate(pred_items):
-                    if overlap[i, j] >= iou_threshold:
-                        overlap_count[(g, p)] = overlap_count.get((g, p), 0) + 1
-
-    total_gt = sum(gt_count.values())
-    total_pred = sum(pred_count.values())
-    if total_gt == 0:
+    matching = match_frames(gt, pred, iou_threshold)
+    if matching.gt_total == 0:
         raise ValidationError("IDF1 requires non-empty ground truth")
-    if not overlap_count:
-        return 0, total_gt, total_pred
-
-    gt_index = {g: i for i, g in enumerate(sorted(gt_count))}
-    pred_index = {p: j for j, p in enumerate(sorted(pred_count))}
-    gains = np.zeros((len(gt_index), len(pred_index)))
-    for (g, p), c in overlap_count.items():
-        gains[gt_index[g], pred_index[p]] = c
-    idtp = int(sum(gains[i, j] for i, j in hungarian(-gains)))
-    return idtp, total_gt, total_pred
+    return _idtp(matching.overlaps), matching.gt_total, matching.pred_total
 
 
 def idf1(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -> float:
-    """IDF1 = 2 IDTP / (2 IDTP + IDFP + IDFN) under the best identity mapping."""
-    idtp, total_gt, total_pred = idf1_components(gt, pred, iou_threshold)
-    return 2.0 * idtp / (total_gt + total_pred)
+    """IDF1 under the best identity mapping."""
+    return _idf1(*idf1_components(gt, pred, iou_threshold))
+
+
+def pan_sweep(gt_tracks: Iterable[Track], deltas: Iterable[int]) -> list[tuple[int, int]]:
+    """(delta, ground-truth gaps longer than delta frames) for each delta.
+
+    The gaps between consecutive detections are collected in one scan.
+    """
+    gaps = sorted(b - a for trk in gt_tracks for a, b in pairwise(trk.frames))
+    return [(int(d), len(gaps) - bisect_right(gaps, int(d))) for d in deltas]
 
 
 def pan_idsw(gt_tracks: Iterable[Track], delta: int) -> int:
     """Count ground-truth gaps between consecutive detections exceeding delta frames."""
-    count = 0
-    for trk in gt_tracks:
-        frames = trk.frames
-        count += sum(1 for a, b in zip(frames, frames[1:]) if b - a > delta)
-    return count
+    return pan_sweep(gt_tracks, [delta])[0][1]
 
 
-def pan_sweep(gt_tracks: Sequence[Track], deltas: Iterable[int]) -> list[tuple[int, int]]:
-    return [(int(d), pan_idsw(gt_tracks, int(d))) for d in deltas]
-
-
-def pan_proportion(gt_tracks: Sequence[Track], idsw: int, delta: int) -> float | None:
-    """Share of identity switches attributable to out-of-view gaps.
+def pan_proportion(pan_count: int, idsw: int) -> float | None:
+    """Share of identity switches attributable to ``pan_count`` out-of-view gaps.
 
     Undefined (None) when there are no identity switches at all.
     """
     if idsw <= 0:
         return None
-    return pan_idsw(gt_tracks, delta) / idsw
+    return pan_count / idsw
 
 
 @dataclass(frozen=True)
@@ -228,10 +232,8 @@ def evaluate_video(name: str, gt: FrameBoxes, pred: FrameBoxes, iou_threshold: f
     fn = matching.num_fn
     idsw = count_idsw(matching)
     gt_total = matching.gt_total
-    components = idf1_components(gt, pred, iou_threshold)
-    idtp, total_gt, total_pred = components
-    row = EvalRow(name=name, mota=mota(fp, fn, idsw, gt_total),
-                  idf1=2.0 * idtp / (total_gt + total_pred),
+    components = (_idtp(matching.overlaps), gt_total, matching.pred_total)
+    row = EvalRow(name=name, mota=mota(fp, fn, idsw, gt_total), idf1=_idf1(*components),
                   idsw=idsw, fp=fp, fn=fn, gt_total=gt_total)
     return row, components
 
@@ -239,13 +241,12 @@ def evaluate_video(name: str, gt: FrameBoxes, pred: FrameBoxes, iou_threshold: f
 def evaluate(videos: Sequence[tuple[str, FrameBoxes, FrameBoxes]], iou_threshold: float = 0.5
              ) -> EvalReport:
     rows = []
-    idtp_sum = 0
-    det_sum = 0
+    idtp = pred_total = 0
     for name, gt, pred in videos:
-        row, (idtp, total_gt, total_pred) = evaluate_video(name, gt, pred, iou_threshold)
+        row, (video_idtp, _, video_pred) = evaluate_video(name, gt, pred, iou_threshold)
         rows.append(row)
-        idtp_sum += idtp
-        det_sum += total_gt + total_pred
+        idtp += video_idtp
+        pred_total += video_pred
     fp = sum(r.fp for r in rows)
     fn = sum(r.fn for r in rows)
     idsw = sum(r.idsw for r in rows)
@@ -253,7 +254,7 @@ def evaluate(videos: Sequence[tuple[str, FrameBoxes, FrameBoxes]], iou_threshold
     return EvalReport(
         per_video=tuple(rows),
         mota=mota(fp, fn, idsw, gt_total),
-        idf1=(2.0 * idtp_sum / det_sum) if det_sum else 0.0,
+        idf1=_idf1(idtp, gt_total, pred_total),
         idsw=idsw,
         fp=fp,
         fn=fn,

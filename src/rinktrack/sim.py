@@ -28,12 +28,15 @@ from .core import (
     Track,
     ValidationError,
     check_int,
+    check_unit,
     default_vocabulary,
+    is_number,
     known_fields,
     save_detection_file,
     save_rosters,
 )
 from .ident import REFEREE_CLASS, window_starts
+from .tracker import box_corners, iou_corners
 
 # Salts separating the per-purpose random streams.
 _MOTION, _NOISE, _VISIBILITY, _FRAME, _TEAM, _WINDOW, _ROSTER = range(7)
@@ -92,36 +95,29 @@ class ScenarioConfig:
     stride: int = 1
 
     def __post_init__(self) -> None:
-        rates = {
-            "fp_rate": self.fp_rate,
-            "fn_rate": self.fn_rate,
-            "visibility_profile": self.visibility_profile,
-            "null_tracklet_rate": self.null_tracklet_rate,
-            "team_noise": self.team_noise,
-            "direction_change_rate": self.direction_change_rate,
-        }
-        bad = {k: v for k, v in rates.items() if not 0.0 <= v <= 1.0}
-        if bad:
-            raise ValidationError(f"rates must lie in [0, 1]: {bad}")
+        for name in ("fp_rate", "fn_rate", "visibility_profile", "null_tracklet_rate",
+                     "team_noise", "direction_change_rate"):
+            check_unit(name, getattr(self, name))
         least = {"players_per_team": 1, "num_referees": 0, "duration": 1,
                  "fps": 1, "window": 1, "stride": 1}
         for name, low in least.items():
             check_int(name, getattr(self, name), low)
         for name in ("camera_width", "camera_height", "box_width", "box_height"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_number(value) and math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         for box, camera in (("box_width", "camera_width"), ("box_height", "camera_height")):
             if getattr(self, box) > getattr(self, camera):
                 raise ValidationError(f"{box} {getattr(self, box)!r} exceeds "
                                       f"{camera} {getattr(self, camera)!r}")
         if len(self.speed_range) != 2 or not (
-                all(math.isfinite(v) for v in self.speed_range)
+                all(is_number(v) and math.isfinite(v) for v in self.speed_range)
                 and 0.0 <= self.speed_range[0] <= self.speed_range[1]):
             raise ValidationError(
                 f"speed_range must be finite [low, high] with 0 <= low <= high, "
                 f"got {self.speed_range!r}")
-        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+        if not (is_number(self.jitter_sigma) and math.isfinite(self.jitter_sigma)
+                and self.jitter_sigma >= 0):
             raise ValidationError(
                 f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
         for frame, offset in self.pan_profile:
@@ -132,9 +128,13 @@ class ScenarioConfig:
                     f"pan_profile offsets must be finite and >= 0, got {offset!r}")
         if self.layout not in ("free", "lanes"):
             raise ValidationError(f"unknown layout {self.layout!r}")
+        for name in ("vocab_labels", "home_roster", "away_roster"):
+            for number in getattr(self, name) or ():
+                check_int(f"{name} entry", number, 0)
         for number, spec in self.confusion.items():
-            if not 0.0 <= spec.prob <= 1.0 or not 0.0 <= spec.strength <= 1.0:
-                raise ValidationError(f"confusion prob/strength must lie in [0, 1]: {spec}")
+            check_int(f"confusion {number} substitute", spec.substitute, 0)
+            check_unit(f"confusion {number} prob", spec.prob)
+            check_unit(f"confusion {number} strength", spec.strength)
             if spec.substitute == number:
                 raise ValidationError(f"confusion for {number} must substitute a different number")
 
@@ -151,6 +151,9 @@ class ScenarioConfig:
                     raise ValidationError(f"pan_profile frames must be integers, got {f!r}")
             kwargs["pan_profile"] = tuple((int(f), o) for f, o in pairs)
         if "confusion" in kwargs:
+            if not isinstance(kwargs["confusion"], Mapping):
+                raise ValidationError(f"confusion must be an object keyed by jersey number, "
+                                      f"got {kwargs['confusion']!r}")
             confusion = {}
             for k, v in kwargs["confusion"].items():
                 try:
@@ -158,10 +161,16 @@ class ScenarioConfig:
                 except ValueError:
                     raise ValidationError(
                         f"confusion keys must be jersey numbers, got {k!r}") from None
-                confusion[number] = ConfusionSpec(**v) if isinstance(v, Mapping) else ConfusionSpec(*v)
+                try:
+                    confusion[number] = (ConfusionSpec(**v) if isinstance(v, Mapping)
+                                         else ConfusionSpec(*v))
+                except TypeError as exc:
+                    raise ValidationError(f"confusion {number}: {exc}") from None
             kwargs["confusion"] = confusion
         for name in ("speed_range", "vocab_labels", "home_roster", "away_roster"):
             if kwargs.get(name) is not None:
+                if not isinstance(kwargs[name], (list, tuple)):
+                    raise ValidationError(f"{name} must be a list, got {kwargs[name]!r}")
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
@@ -243,11 +252,7 @@ class GroundTruthBundle:
         if entry is None:
             return None
         ids, corners = entry
-        ix = np.minimum(box.x2, corners[:, 2]) - np.maximum(box.x, corners[:, 0])
-        iy = np.minimum(box.y2, corners[:, 3]) - np.maximum(box.y, corners[:, 1])
-        inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
-        areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
-        overlap = inter / (box.area + areas - inter)
+        overlap = iou_corners(box_corners([box]), corners)[0]
         best = int(np.argmax(overlap))
         return int(ids[best]) if overlap[best] >= min_iou else None
 

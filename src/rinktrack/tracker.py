@@ -8,14 +8,13 @@ lifecycle follows the usual tentative/confirmed/lost rules driven by
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (BoundingBox, Detection, Track, ValidationError, check_int, check_unit,
-                   known_fields)
+                   is_number, known_fields)
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ class TrackerParams:
                            ("measurement_noise", 4)):
             value = getattr(self, name)
             if not (isinstance(value, (tuple, list)) and len(value) == size and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) and v >= 0 for v in value)):
+                    is_number(v) and math.isfinite(v) and v >= 0 for v in value)):
                 raise ValidationError(
                     f"{name} must hold {size} finite numbers >= 0, got {value!r}")
 
@@ -65,18 +63,25 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b))."""
-    if len(boxes_a) == 0 or len(boxes_b) == 0:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    a = np.array([[b.x, b.y, b.x2, b.y2] for b in boxes_a])
-    b = np.array([[c.x, c.y, c.x2, c.y2] for c in boxes_b])
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
+def box_corners(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """Boxes as an (n, 4) array of [x, y, x2, y2] rows."""
+    return np.array([[b.x, b.y, b.x2, b.y2] for b in boxes]).reshape(-1, 4)
+
+
+def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two corner arrays, shape (len(a), len(b))."""
+    ix = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
+    iy = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    # np.maximum, not np.clip: the same values for a fraction of the call overhead.
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    return inter / (area_a[:, None] + area_b - inter)
+
+
+def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
+    """Pairwise IoU, shape (len(a), len(b))."""
+    return iou_corners(box_corners(boxes_a), box_corners(boxes_b))
 
 
 def hungarian(cost: np.ndarray | Sequence[Sequence[float]]) -> list[tuple[int, int]]:

@@ -94,6 +94,24 @@ class TestSimulate:
         ("speed_range", [3.0, 1.0], "speed_range must be finite"),
         ("pan_profile", [[0, 0.0], [10, float("nan")]], "pan_profile offsets must be finite"),
         ("pan_profile", [[float("nan"), 0.0]], "pan_profile frames must be integers"),
+        ("fp_rate", True, "fp_rate must be a number in [0, 1], got True"),
+        ("fp_rate", "x", "fp_rate must be a number in [0, 1], got 'x'"),
+        ("camera_width", "x", "camera_width must be finite and > 0, got 'x'"),
+        ("box_height", True, "box_height must be finite and > 0, got True"),
+        ("jitter_sigma", None, "jitter_sigma must be finite and >= 0, got None"),
+        ("speed_range", ["a", 2], "speed_range must be finite"),
+        ("speed_range", 3, "speed_range must be a list, got 3"),
+        ("confusion", {"6": {"substitute": 8, "prob": "0.5"}},
+         "confusion 6 prob must be a number in [0, 1], got '0.5'"),
+        ("confusion", {"6": {"substitute": 8, "prob": 0.5, "strength": False}},
+         "confusion 6 strength must be a number in [0, 1], got False"),
+        ("confusion", {"6": {"substitute": "8", "prob": 0.5}},
+         "confusion 6 substitute must be an integer >= 0, got '8'"),
+        ("confusion", {"6": {"substitute": 8, "probb": 0.5}}, "confusion 6: "),
+        ("confusion", [1], "confusion must be an object keyed by jersey number, got [1]"),
+        ("vocab_labels", ["a"], "vocab_labels entry must be an integer >= 0, got 'a'"),
+        ("home_roster", ["x"], "home_roster entry must be an integer >= 0, got 'x'"),
+        ("away_roster", [2.5], "away_roster entry must be an integer >= 0, got 2.5"),
     ])
     def test_invalid_scenario_field_exits_2_naming_it(self, tmp_path, capsys, field, value,
                                                        message):
@@ -396,6 +414,54 @@ class TestEval:
         assert calls == ["v0", "v1", "v2"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [r["name"] for r in report["pan"]["per_video"]] == ["v0", "v1", "v2"]
+
+    def test_repeated_track_id_on_a_frame_exits_1_naming_the_file(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        first = (bundle_dir / "gt.csv").read_text().splitlines()[0]
+        frame, track_id = first.split(",")[:2]
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text((bundle_dir / "gt.csv").read_text()
+                          + f"{frame},{track_id},300.0,250.0,20.0,30.0,1.0\n")
+        data = json.loads(config.read_text())
+        data["paths"]["tracks"] = str(tracks)
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"{tracks}: frame {frame}: id {track_id} is listed more than once"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["gt", "tracks"])
+    def test_untracked_ids_exit_1_naming_the_file(self, workspace, capsys, side):
+        tmp_path, config, bundle_dir = workspace
+        data = json.loads(config.read_text())
+        data["paths"][side] = str(bundle_dir / "det.csv")
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bundle_dir / 'det.csv'}: frame 0: id -1 is not a track id" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("videos", [[1], ["gt.csv"], {"name": "v"}, "gt.csv"])
+    def test_videos_must_be_a_list_of_objects(self, workspace, capsys, videos):
+        tmp_path, config, _ = workspace
+        data = json.loads(config.read_text())
+        data["videos"] = videos
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "videos must be a list of objects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tracks", 7, "videos entry 'v': tracks must be a path, got 7"),
+        ("name", [1], "videos entry names must be strings, got [1]"),
+    ])
+    def test_video_fields_must_be_strings(self, workspace, capsys, key, value, message):
+        tmp_path, config, _ = workspace
+        data = json.loads(config.read_text())
+        gt = data["paths"]["gt"]
+        data["videos"] = [{"name": "v", "gt": gt, "tracks": gt, key: value}]
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPipeline:

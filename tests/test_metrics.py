@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rinktrack.core import BoundingBox, Detection, Track, ValidationError
+from rinktrack.core import (BoundingBox, Detection, Track, ValidationError, group_boxes_by_frame,
+                            group_by_frame, tracks_to_rows)
 from rinktrack.metrics import (
     FrameMatching,
     count_idsw,
@@ -19,6 +20,8 @@ from rinktrack.metrics import (
     pan_proportion,
     pan_sweep,
 )
+from rinktrack.sim import ScenarioConfig, generate
+from rinktrack.tracker import TrackerParams, hungarian, iou_matrix, track
 
 BOX = BoundingBox(0, 0, 10, 10)
 
@@ -105,6 +108,15 @@ class TestMatchFrames:
             preds = [p for _, p in pairs]
             assert len(set(gts)) == len(gts)
             assert len(set(preds)) == len(preds)
+
+
+    @pytest.mark.parametrize("side", ["ground-truth", "predicted"])
+    def test_id_listed_twice_on_a_frame_rejected(self, side):
+        once = _frames((0, 1, BOX), (1, 1, BOX), (1, 2, _box(50)))
+        twice = _frames((0, 1, BOX), (1, 1, BOX), (1, 2, _box(50)), (1, 1, _box(80)))
+        gt, pred = (twice, once) if side == "ground-truth" else (once, twice)
+        with pytest.raises(ValidationError, match=f"frame 1: {side} id 1 is listed more than once"):
+            match_frames(gt, pred)
 
 
 def matching_from_pred_ids(sequence):
@@ -238,9 +250,9 @@ class TestPanIdsw:
 
     def test_proportion(self):
         tracks = [_track_with_gaps(i, [50]) for i in range(27)]
-        assert pan_proportion(tracks, idsw=30, delta=40) == pytest.approx(0.9)
-        assert pan_proportion([_track_with_gaps(1, [1])], idsw=30, delta=40) == 0.0
-        assert pan_proportion(tracks, idsw=0, delta=40) is None
+        assert pan_proportion(pan_idsw(tracks, delta=40), idsw=30) == pytest.approx(0.9)
+        assert pan_proportion(pan_idsw([_track_with_gaps(1, [1])], delta=40), idsw=30) == 0.0
+        assert pan_proportion(pan_idsw(tracks, delta=40), idsw=0) is None
 
 
 class TestEvaluate:
@@ -274,3 +286,159 @@ class TestEvaluate:
         assert lines[0].split() == ["video", "IDF1", "MOTA", "IDSW", "FP", "FN"]
         assert lines[2].startswith("video_1")
         assert lines[-1].startswith("ALL")
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: CLEAR matching from scratch, and IDF1 and ownership as
+# the two-pass evaluation computed them.
+# ---------------------------------------------------------------------------
+
+
+def reference_clear(gt, pred, iou_threshold=0.5):
+    """Per-frame CLEAR matching, solved from scratch with the scalar ``iou``.
+
+    Per frame: first the pairs carried over from the previous frame, in the
+    order the frame lists its ground truth, while both ids are present and
+    still overlap at or above the threshold; then, among the rest, the
+    one-to-one assignment of min(m, n) pairs with the least total 1 - IoU,
+    found by trying every assignment; then that assignment's pairs below the
+    threshold are dropped. Returns {frame: (matches, unmatched gt, unmatched
+    pred)} with the matches sorted.
+    """
+    from rinktrack.tracker import iou
+
+    prev = {}
+    out = {}
+    for f in sorted(set(gt) | set(pred)):
+        gt_boxes = dict(gt.get(f, ()))
+        pred_boxes = dict(pred.get(f, ()))
+        matched = []
+        for g, gb in gt_boxes.items():
+            p = prev.get(g)
+            if (p in pred_boxes and p not in {q for _, q in matched}
+                    and iou(gb, pred_boxes[p]) >= iou_threshold):
+                matched.append((g, p))
+        rest_gt = [g for g in gt_boxes if g not in {m for m, _ in matched}]
+        rest_pred = [p for p in pred_boxes if p not in {q for _, q in matched}]
+        if len(rest_gt) <= len(rest_pred):
+            options = [list(zip(rest_gt, perm))
+                       for perm in itertools.permutations(rest_pred, len(rest_gt))]
+        else:
+            options = [list(zip(perm, rest_pred))
+                       for perm in itertools.permutations(rest_gt, len(rest_pred))]
+        best = min(options, key=lambda pairs: sum(1.0 - iou(gt_boxes[g], pred_boxes[p])
+                                                  for g, p in pairs))
+        matched += [(g, p) for g, p in best
+                    if iou(gt_boxes[g], pred_boxes[p]) >= iou_threshold]
+        used_gt = {g for g, _ in matched}
+        used_pred = {p for _, p in matched}
+        out[f] = (sorted(matched), [g for g in gt_boxes if g not in used_gt],
+                  [p for p in pred_boxes if p not in used_pred])
+        prev.update(matched)
+    return out
+
+
+def reference_idsw(clear):
+    last_known, switches = {}, 0
+    for f in sorted(clear):
+        for g, p in clear[f][0]:
+            switches += g in last_known and last_known[g] != p
+            last_known[g] = p
+    return switches
+
+
+def reference_idf1_components(gt, pred, iou_threshold=0.5):
+    """IDF1 components from a second pass: every frame's IoU matrix, each pair
+    checked in a double loop, and the gains matrix over every id seen."""
+    gt_count, pred_count, overlap_count = {}, {}, {}
+    for f in sorted(set(gt) | set(pred)):
+        gt_items = list(gt.get(f, ()))
+        pred_items = list(pred.get(f, ()))
+        for g, _ in gt_items:
+            gt_count[g] = gt_count.get(g, 0) + 1
+        for p, _ in pred_items:
+            pred_count[p] = pred_count.get(p, 0) + 1
+        if gt_items and pred_items:
+            overlap = iou_matrix([b for _, b in gt_items], [b for _, b in pred_items])
+            for i, (g, _) in enumerate(gt_items):
+                for j, (p, _) in enumerate(pred_items):
+                    if overlap[i, j] >= iou_threshold:
+                        overlap_count[(g, p)] = overlap_count.get((g, p), 0) + 1
+    total_gt, total_pred = sum(gt_count.values()), sum(pred_count.values())
+    if not overlap_count:
+        return 0, total_gt, total_pred
+    gt_index = {g: i for i, g in enumerate(sorted(gt_count))}
+    pred_index = {p: j for j, p in enumerate(sorted(pred_count))}
+    gains = np.zeros((len(gt_index), len(pred_index)))
+    for (g, p), c in overlap_count.items():
+        gains[gt_index[g], pred_index[p]] = c
+    return int(sum(gains[i, j] for i, j in hungarian(-gains))), total_gt, total_pred
+
+
+def random_scene(seed):
+    """Small continuous-coordinate scene: up to 4 ids a side, drifting boxes
+    that cross, ids missing on some frames, and predictions that trade ids."""
+    rng = np.random.default_rng(seed)
+    n_gt, n_pred = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+    start = rng.uniform(0, 40, size=(n_gt, 2))
+    step = rng.uniform(-3, 3, size=(n_gt, 2))
+    items_gt, items_pred = [], []
+    for f in range(int(rng.integers(1, 9))):
+        centres = start + f * step
+        for g in range(n_gt):
+            if rng.random() < 0.85:
+                items_gt.append((f, g, _box(*centres[g])))
+        owners = rng.permutation(n_gt) if rng.random() < 0.2 else np.arange(n_gt)
+        for p in range(n_pred):
+            if rng.random() < 0.85:
+                x, y = centres[owners[p % n_gt]] + rng.normal(0, 2.5, size=2)
+                items_pred.append((f, 50 + p, _box(x, y)))
+    return _frames(*items_gt), _frames(*items_pred)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5]))
+    def test_clear_matching_matches_brute_force(self, seed, threshold):
+        gt, pred = random_scene(seed)
+        clear = reference_clear(gt, pred, threshold)
+        matching = match_frames(gt, pred, threshold)
+        for f, (matches, unmatched_gt, unmatched_pred) in clear.items():
+            assert matching.matches[f] == matches, f
+            assert matching.unmatched_gt[f] == unmatched_gt, f
+            assert matching.unmatched_pred[f] == unmatched_pred, f
+        assert sorted(matching.matches) == sorted(clear)
+        assert count_idsw(matching) == reference_idsw(clear)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_idf1_components_match_two_pass_reference(self, seed):
+        gt, pred = random_scene(seed)
+        assume(gt)
+        assert idf1_components(gt, pred) == reference_idf1_components(gt, pred)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_evaluate_matches_references_on_simulated_scenes(self, seed):
+        config = ScenarioConfig(
+            players_per_team=3, num_referees=1, duration=90, camera_width=400.0,
+            camera_height=320.0, box_width=20.0, box_height=30.0, speed_range=(1.0, 4.0),
+            pan_profile=((0, 0.0), (20, 0.0), (45, 200.0), (65, 200.0), (85, 0.0)),
+            jitter_sigma=2.0, fp_rate=0.2, fn_rate=0.1, vocab_labels=tuple(range(1, 13)),
+            window=8)
+        bundle = generate(config, seed)
+        gt = group_boxes_by_frame([(t.track_id, d) for t in bundle.gt_tracks
+                                   for d in t.detections])
+        pred = group_boxes_by_frame(tracks_to_rows(
+            track(group_by_frame(bundle.detections), TrackerParams(min_hits=1))))
+        idtp, total_gt, total_pred = reference_idf1_components(gt, pred)
+        assert idf1_components(gt, pred) == (idtp, total_gt, total_pred)
+        clear = reference_clear(gt, pred)
+        report = evaluate([("v", gt, pred)])
+        (row,) = report.per_video
+        assert row.idf1 == report.idf1 == 2.0 * idtp / (total_gt + total_pred)
+        assert row.gt_total == report.gt_total == total_gt
+        assert row.fn == sum(len(c[1]) for c in clear.values())
+        assert row.fp == sum(len(c[2]) for c in clear.values())
+        assert row.idsw == reference_idsw(clear)
+        assert row.mota == 1.0 - (row.fn + row.fp + row.idsw) / total_gt

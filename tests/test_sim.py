@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinktrack.core import (
     BoundingBox,
@@ -398,6 +400,24 @@ def brute_force_owner(bundle, frame, box, min_iou=0.2):
     return best_id if best >= min_iou else None
 
 
+def reference_match_gt(bundle, frame, box, min_iou=0.2):
+    """Best-IoU owner by the arithmetic ``match_gt`` once inlined: the frame's
+    ground-truth corners in ``gt_tracks`` order, the query's area as ``w * h``."""
+    rows = [(trk.track_id, d.box) for trk in bundle.gt_tracks for d in trk.detections
+            if d.frame == frame]
+    if not rows:
+        return None
+    ids = np.array([tid for tid, _ in rows])
+    corners = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for _, b in rows])
+    ix = np.minimum(box.x2, corners[:, 2]) - np.maximum(box.x, corners[:, 0])
+    iy = np.minimum(box.y2, corners[:, 3]) - np.maximum(box.y, corners[:, 1])
+    inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
+    areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+    overlap = inter / (box.area + areas - inter)
+    best = int(np.argmax(overlap))
+    return int(ids[best]) if overlap[best] >= min_iou else None
+
+
 class TestMatchGt:
     """``match_gt`` against a brute-force owner search over ``gt_tracks``."""
 
@@ -418,6 +438,21 @@ class TestMatchGt:
                 assert bundle.match_gt(frame, box, min_iou) == expected, (frame, box, min_iou)
                 unmatched.add(expected is None)
         assert unmatched == {True, False}  # both outcomes exercised
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_owners_match_the_inline_reference(self, seed):
+        config = small_config(
+            layout="free", duration=80, speed_range=(1.0, 4.0), jitter_sigma=2.5,
+            fp_rate=0.3, fn_rate=0.1,
+            pan_profile=((0, 0.0), (20, 0.0), (40, 200.0), (60, 200.0), (75, 0.0)))
+        bundle = generate(config, seed)
+        queries = [(d.frame, d.box) for _, d in bundle.detections]
+        queries += [(d.frame, d.box) for trk in bundle.gt_tracks for d in trk.detections]
+        for frame, box in queries:
+            for min_iou in (0.2, 0.5):
+                assert (bundle.match_gt(frame, box, min_iou)
+                        == reference_match_gt(bundle, frame, box, min_iou)), (frame, box)
 
     def test_tie_goes_to_earlier_track_in_gt_tracks_order(self):
         box = BoundingBox(10.0, 10.0, 20.0, 30.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rinktrack import core, metrics
-from rinktrack.ident import IdentParams, Rosters, Scorers, run_pipeline
+from rinktrack.ident import IdentParams, Rosters, run_pipeline
 from rinktrack.sim import ConfusionSpec, ScenarioConfig, generate, oracle_scorers
 from rinktrack.tracker import TrackerParams, track
 
@@ -67,8 +67,7 @@ def main() -> int:
     )])
     print(metrics.format_report_table(report))
 
-    frame_scorer, window_scorer, team_scorer = oracle_scorers(bundle)
-    scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
+    scorers = oracle_scorers(bundle)
     rosters = Rosters(home=core.build_roster_vector(bundle.home_roster, bundle.vocab),
                       away=core.build_roster_vector(bundle.away_roster, bundle.vocab))
     results = run_pipeline(tracks, scorers, rosters, bundle.vocab, IdentParams())

@@ -4,7 +4,7 @@ For each threshold, a tracklet is declared number-visible when any frame's
 null probability falls below it; accuracy is measured against the
 generator's record of which tracklets ever show their number.
 
-Usage: python scripts/theta_sweep.py [--seed N]
+Usage: python scripts/theta_sweep.py [--seed N] [--scenarios N]
 """
 
 import argparse
@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rinktrack.ident import jersey_visible
-from rinktrack.sim import ScenarioConfig, generate
+from rinktrack.sim import ScenarioConfig, generate, oracle_scorers
 
 THETAS = (0.0033, 0.01, 0.03, 0.09, 0.27, 0.81)
 
@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scenarios", type=int, default=10)
     args = parser.parse_args()
+    if args.scenarios < 1:
+        parser.error(f"--scenarios must be at least 1, got {args.scenarios}")
 
     config = ScenarioConfig(
         players_per_team=6,
@@ -39,17 +41,20 @@ def main() -> int:
         null_tracklet_rate=0.5,
     )
 
+    hits = dict.fromkeys(THETAS, 0)
+    total = 0
+    for offset in range(args.scenarios):
+        bundle = generate(config, seed=args.seed + offset)
+        frame_scorer = oracle_scorers(bundle).frame
+        for trk in bundle.gt_tracks:
+            truly_visible = len(bundle.visible_frames[trk.track_id]) > 0
+            total += 1
+            for theta in THETAS:
+                hits[theta] += int(jersey_visible(trk, frame_scorer, theta) == truly_visible)
+
     print(f"{'theta':>8}  {'accuracy':>8}")
     for theta in THETAS:
-        hits = total = 0
-        for offset in range(args.scenarios):
-            bundle = generate(config, seed=args.seed + offset)
-            frame_scorer = bundle.frame_scorer()
-            for trk in bundle.gt_tracks:
-                truly_visible = len(bundle.visible_frames[trk.track_id]) > 0
-                total += 1
-                hits += int(jersey_visible(trk, frame_scorer, theta) == truly_visible)
-        print(f"{theta:>8.4f}  {100 * hits / total:>7.2f}%")
+        print(f"{theta:>8.4f}  {100 * hits[theta] / total:>7.2f}%")
     return 0
 
 

@@ -194,16 +194,11 @@ def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int],
 
 def _file_scorers(config: RunConfig, vocab: core.ClassVocabulary) -> Scorers:
     """The run's score files; jersey-score rows must have one entry per vocabulary class."""
-    scorers = Scorers(
+    return Scorers(
         team=FileTeamScorer(config.path("team_scores")),
-        frame=FileFrameScorer(config.path("frame_scores")),
-        window=FileWindowScorer(config.path("window_scores")),
+        frame=FileFrameScorer(config.path("frame_scores"), vocab.num_classes),
+        window=FileWindowScorer(config.path("window_scores"), vocab.num_classes),
     )
-    for scores in (scorers.frame.scores, scorers.window.scores):
-        if len(scores.values) and scores.width != vocab.num_classes:
-            raise ValidationError(f"{scores.path}: score rows have {scores.width} classes, "
-                                  f"vocabulary has {vocab.num_classes}")
-    return scorers
 
 
 def _identify_and_report(config: RunConfig, tracks: list[core.Track],
@@ -401,8 +396,7 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
     if bundle is not None:
         # Simulated runs score tracker tracklets through the bundle oracles;
         # the emitted score files only cover ground-truth track ids.
-        frame_scorer, window_scorer, team_scorer = sim.oracle_scorers(bundle)
-        scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
+        scorers = sim.oracle_scorers(bundle)
         expected = {trk.track_id: want for trk in tracks
                     if (want := bundle.expected_class(trk)) is not None}
     else:

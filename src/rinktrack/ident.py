@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -141,58 +141,63 @@ def jersey_visible(tracklet: Track, image_scorer: FrameScorer, theta: float) -> 
     return False
 
 
-def _stack(prob_vectors: Sequence[ProbVector]) -> np.ndarray:
-    if len(prob_vectors) == 0:
+def _aggregate(P: Sequence[ProbVector], visible: bool, method: str, postprocessing: bool,
+               strict_null_fallback: bool, num_classes: int | None = None
+               ) -> tuple[int, np.ndarray]:
+    """The aggregation rule: (identity, normalised ``p_jn`` values) in one pass over P."""
+    if len(P) == 0:
         raise ValidationError("cannot aggregate an empty window list")
-    return np.stack([p.values for p in prob_vectors])
-
-
-def aggregate(P: Sequence[ProbVector], visible: bool, vocab: ClassVocabulary, *,
-              postprocessing: bool = True, strict_null_fallback: bool = False
-              ) -> tuple[int, ProbVector]:
-    """Collapse window probabilities into one identity and distribution.
-
-    Invisible tracklets are labelled null with a one-hot null ``p_jn``
-    (keeping them null under any roster mask). Visible tracklets average
-    the windows whose argmax is not null; see :class:`IdentParams` for
-    the empty-selection fallback.
-    """
-    stacked = _stack(P)
-    null_index = vocab.null_index
-    if stacked.shape[1] != vocab.num_classes:
+    stacked = np.stack([p.values for p in P])
+    width = stacked.shape[1]
+    if num_classes is not None and width != num_classes:
         raise ValidationError(
-            f"window probabilities have {stacked.shape[1]} classes, vocabulary has {vocab.num_classes}"
+            f"window probabilities have {width} classes, vocabulary has {num_classes}"
         )
+    null_index = width - 1
     if not visible:
-        one_hot = np.zeros(vocab.num_classes)
+        one_hot = np.zeros(width)
         one_hot[null_index] = 1.0
-        return null_index, ProbVector(values=one_hot)
-    kept = stacked[np.argmax(stacked, axis=1) != null_index] if postprocessing else stacked
+        return null_index, one_hot
+    argmaxes = np.argmax(stacked, axis=1)
+    kept = stacked
+    if postprocessing:
+        keep = argmaxes != null_index
+        kept, argmaxes = stacked[keep], argmaxes[keep]
     if len(kept) == 0:
         mean = stacked.mean(axis=0)
         identity = null_index if strict_null_fallback else int(np.argmax(mean[:null_index]))
     else:
         mean = kept.mean(axis=0)
-        identity = int(np.argmax(mean))
-    return identity, ProbVector(values=mean / mean.sum())
+        if method == "majority":  # ties fall to the lower class index
+            identity = int(np.argmax(np.bincount(argmaxes, minlength=width)))
+        else:
+            identity = int(np.argmax(mean))
+    return identity, mean / mean.sum()
+
+
+def aggregate(P: Sequence[ProbVector], visible: bool, vocab: ClassVocabulary, *,
+              method: str = "avg", postprocessing: bool = True,
+              strict_null_fallback: bool = False) -> tuple[int, ProbVector]:
+    """Collapse window probabilities into one identity and distribution.
+
+    Invisible tracklets are labelled null with a one-hot null ``p_jn``
+    (keeping them null under any roster mask). Visible tracklets keep
+    the windows whose argmax is not null; ``p_jn`` is their average
+    under either method, and the identity is the average's argmax
+    (``"avg"``) or the mode of their argmaxes (``"majority"``). See
+    :class:`IdentParams` for the empty-selection fallback.
+    """
+    if method not in AGGREGATION_METHODS:
+        raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
+    identity, p_jn = _aggregate(P, visible, method, postprocessing, strict_null_fallback,
+                                vocab.num_classes)
+    return identity, ProbVector(values=p_jn)
 
 
 def aggregate_majority(P: Sequence[ProbVector], visible: bool, *,
                        postprocessing: bool = True, strict_null_fallback: bool = False) -> int:
-    """Mode of the non-null window argmaxes; null when not visible."""
-    stacked = _stack(P)
-    null_index = stacked.shape[1] - 1
-    if not visible:
-        return null_index
-    argmaxes = np.argmax(stacked, axis=1)
-    if postprocessing:
-        argmaxes = argmaxes[argmaxes != null_index]
-        if len(argmaxes) == 0:
-            if strict_null_fallback:
-                return null_index
-            return int(np.argmax(stacked.mean(axis=0)[:null_index]))
-    counts = np.bincount(argmaxes, minlength=null_index + 1)
-    return int(np.argmax(counts))  # ties fall to the lower class index
+    """The identity ``aggregate(..., method="majority")`` gives, for P's own width."""
+    return _aggregate(P, visible, "majority", postprocessing, strict_null_fallback)[0]
 
 
 def identify(tracklet: Track, team: TeamLabel, p_jn: ProbVector,
@@ -212,11 +217,12 @@ def identify(tracklet: Track, team: TeamLabel, p_jn: ProbVector,
     return int(np.argmax(p_jn.values * mask))
 
 
-@dataclass(frozen=True)
-class Scorers:
-    team: FrameScorer
+class Scorers(NamedTuple):
+    """The three scorers identification reads; unpacks as ``frame, window, team``."""
+
     frame: FrameScorer
     window: WindowScorer
+    team: FrameScorer
 
 
 @dataclass(frozen=True)
@@ -253,16 +259,14 @@ def run_pipeline(tracks: Iterable[Track], scorers: Scorers, rosters: Rosters | N
     """
     if mask_rosters and rosters is None:
         raise ValidationError("roster masking requested but no rosters supplied")
-    options = dict(postprocessing=params.postprocessing,
-                   strict_null_fallback=params.strict_null_fallback)
     results = []
     for trk in tracks:
         team = team_vote(trk, scorers.team)
         P = window_probs(trk, scorers.window, params)
         visible = not params.visibility_filtering or jersey_visible(trk, scorers.frame, params.theta)
-        unmasked, p_jn = aggregate(P, visible, vocab, **options)
-        if params.method == "majority":
-            unmasked = aggregate_majority(P, visible, **options)
+        unmasked, p_jn = aggregate(P, visible, vocab, method=params.method,
+                                   postprocessing=params.postprocessing,
+                                   strict_null_fallback=params.strict_null_fallback)
         identity = unmasked
         if team is TeamLabel.REFEREE:
             identity = unmasked = REFEREE_CLASS
@@ -391,51 +395,62 @@ class ScoreFile:
         return None
 
 
-class FileFrameScorer:
-    """Jersey-class frame scores from ``{"track_id", "frame", "probs"}`` lines."""
+class _FileScorer:
+    """A score file read by the frame of a tracklet's detection.
 
-    def __init__(self, path: str | Path):
-        self.scores = ScoreFile(path, "frame", "probs")
+    Subclasses set :attr:`scores` in an ``__init__`` of their own (the
+    benchmark's tracer times each class's ``__init__`` by name) and name
+    a missing row in :attr:`missing`.
+    """
 
-    def score_frame(self, track: Track, index: int) -> np.ndarray:
+    scores: ScoreFile
+    missing: str
+
+    def _row(self, track: Track, index: int) -> np.ndarray:
         frame = track.detections[index].frame
         probs = self.scores.get(track.track_id, frame)
         if probs is None:
-            raise ScorerCoverageError(f"no frame score for track {track.track_id} at frame {frame}")
+            raise ScorerCoverageError(self.missing.format(track=track.track_id, frame=frame))
         return probs
 
 
-class FileTeamScorer:
+class FileFrameScorer(_FileScorer):
+    """Jersey-class frame scores from ``{"track_id", "frame", "probs"}`` lines."""
+
+    missing = "no frame score for track {track} at frame {frame}"
+
+    def __init__(self, path: str | Path, width: int | None = None):
+        self.scores = ScoreFile(path, "frame", "probs", width)
+
+    def score_frame(self, track: Track, index: int) -> np.ndarray:
+        return self._row(track, index)
+
+
+class FileTeamScorer(_FileScorer):
     """Team distributions from ``{"track_id", "frame", "team_probs"}`` lines."""
+
+    missing = "no team score for track {track} at frame {frame}"
 
     def __init__(self, path: str | Path):
         self.scores = ScoreFile(path, "frame", "team_probs", width=len(TeamLabel))
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
-        frame = track.detections[index].frame
-        probs = self.scores.get(track.track_id, frame)
-        if probs is None:
-            raise ScorerCoverageError(f"no team score for track {track.track_id} at frame {frame}")
-        return probs
+        return self._row(track, index)
 
 
-class FileWindowScorer:
+class FileWindowScorer(_FileScorer):
     """Window scores from ``{"track_id", "window_start", "probs"}`` lines.
 
     ``window_start`` is the frame number of the window's first detection.
     """
 
-    def __init__(self, path: str | Path):
-        self.scores = ScoreFile(path, "window_start", "probs")
+    missing = "no window score for track {track} starting at frame {frame}"
+
+    def __init__(self, path: str | Path, width: int | None = None):
+        self.scores = ScoreFile(path, "window_start", "probs", width)
 
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
-        frame = track.detections[start].frame
-        probs = self.scores.get(track.track_id, frame)
-        if probs is None:
-            raise ScorerCoverageError(
-                f"no window score for track {track.track_id} starting at frame {frame}"
-            )
-        return probs
+        return self._row(track, start)
 
 
 _DEFAULT_COLOR_TO_TEAM = {"white": "away", "ref": "referee"}

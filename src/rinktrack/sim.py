@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     BoundingBox,
     ClassVocabulary,
@@ -35,7 +36,7 @@ from .core import (
     save_detection_file,
     save_rosters,
 )
-from .ident import REFEREE_CLASS, window_starts
+from .ident import REFEREE_CLASS, Scorers, window_starts
 from .tracker import box_corners, iou_corners
 
 # Salts separating the per-purpose random streams.
@@ -281,31 +282,18 @@ class GroundTruthBundle:
     def _rng(self, salt: int, *keys: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, salt, *[k & 0x7FFFFFFF for k in keys]])
 
-    def frame_scorer(self) -> "OracleFrameScorer":
-        return OracleFrameScorer(self)
-
-    def team_scorer(self) -> "OracleTeamScorer":
-        return OracleTeamScorer(self)
-
-    def window_scorer(self) -> "OracleWindowScorer":
-        return OracleWindowScorer(self)
-
     # -- emission -------------------------------------------------------------
 
     def write(self, out_dir: str | Path) -> dict:
         """Write every pipeline input plus the truth sidecar; returns the manifest."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        gt_rows = [(trk.track_id, det) for trk in self.gt_tracks for det in trk.detections]
-        gt_rows.sort(key=lambda r: (r[1].frame, r[0]))
-        save_detection_file(gt_rows, out / BUNDLE_FILES["gt"])
+        save_detection_file(core.tracks_to_rows(self.gt_tracks), out / BUNDLE_FILES["gt"])
         save_detection_file(self.detections, out / BUNDLE_FILES["detections"])
         save_rosters(self.home_roster, self.away_roster, out / BUNDLE_FILES["rosters"])
         self.vocab.to_json(out / BUNDLE_FILES["vocab"])
 
-        frame_scorer = self.frame_scorer()
-        team_scorer = self.team_scorer()
-        window_scorer = self.window_scorer()
+        frame_scorer, window_scorer, team_scorer = oracle_scorers(self)
         with (out / BUNDLE_FILES["frame_scores"]).open("w") as frame_file, \
                 (out / BUNDLE_FILES["team_scores"]).open("w") as team_file, \
                 (out / BUNDLE_FILES["window_scores"]).open("w") as window_file:
@@ -716,6 +704,7 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     )
 
 
-def oracle_scorers(bundle: GroundTruthBundle) -> tuple[OracleFrameScorer, OracleWindowScorer, OracleTeamScorer]:
+def oracle_scorers(bundle: GroundTruthBundle) -> Scorers:
     """Scorers consistent with the bundle's visibility and confusion model."""
-    return bundle.frame_scorer(), bundle.window_scorer(), bundle.team_scorer()
+    return Scorers(frame=OracleFrameScorer(bundle), window=OracleWindowScorer(bundle),
+                   team=OracleTeamScorer(bundle))

@@ -216,7 +216,6 @@ def kf_update(state: KalmanTrackState, box: BoundingBox, params: TrackerParams) 
 class _LiveTrack:
     track_id: int
     state: KalmanTrackState
-    hits: int = 1
     hit_streak: int = 1
     time_since_update: int = 0
     recorded: list[tuple[int, Detection]] = field(default_factory=list)
@@ -260,7 +259,6 @@ class SortTracker:
             trk = self._live[ti]
             det = detections[di]
             trk.state = kf_update(trk.state, det.box, params)
-            trk.hits += 1
             trk.hit_streak += 1
             trk.time_since_update = 0
             if trk.hit_streak >= params.min_hits or self._frames_seen <= params.min_hits:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,7 +280,7 @@ class TestIdentify:
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert f"{path}: score rows have 12 classes, vocabulary has 13" in err
+        assert f"{path}:1: expected 13 probabilities, got 12" in err
 
     def test_invalid_score_line_exits_1_naming_it(self, workspace, capsys):
         tmp_path, config, bundle_dir = workspace
@@ -516,3 +518,15 @@ class TestPipeline:
         assert [v["name"] for v in report["per_video"]] == ["video_0"]
         assert report["aggregate"]["mota"] == 1.0
         assert report["identification_accuracy"] == {"with_roster": 1.0, "without_roster": 1.0}
+
+
+class TestThetaSweepScript:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_scenarios_below_one_is_usage_error(self, count):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "theta_sweep.py"
+        done = subprocess.run([sys.executable, str(script), "--scenarios", count],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert f"--scenarios must be at least 1, got {count}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""

@@ -200,6 +200,18 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate([pv(0.5, 0.5)], visible=True, vocab=VOCAB2)
 
+    def test_majority_method_votes_and_keeps_the_average(self):
+        # Window argmaxes 1, 1, 0: the vote gives 1, the average gives 0.
+        P = [pv(0.40, 0.45, 0.15)] * 2 + [pv(0.9, 0.05, 0.05)]
+        avg_id, avg_p = aggregate(P, visible=True, vocab=VOCAB2)
+        maj_id, maj_p = aggregate(P, visible=True, vocab=VOCAB2, method="majority")
+        assert (avg_id, maj_id) == (0, 1)
+        assert np.array_equal(maj_p.values, avg_p.values)
+
+    def test_unknown_method_is_error(self):
+        with pytest.raises(ValidationError):
+            aggregate([pv(0.6, 0.3, 0.1)], visible=True, vocab=VOCAB2, method="mode")
+
     @given(st.integers(0, 3), st.integers(1, 8))
     def test_unanimous_windows_win(self, cls, count):
         vocab = ClassVocabulary(labels=(1, 2, 3, 4))
@@ -251,6 +263,66 @@ class TestAggregateMajority:
         scaled = raw * 0.37  # common positive factor, pre-normalization
         renorm = scaled / scaled.sum(axis=1, keepdims=True)
         assert aggregate_majority([ProbVector(values=v) for v in renorm], visible=True) == want
+
+
+def _first_argmax(values):
+    best = 0
+    for j in range(1, len(values)):
+        if values[j] > values[best]:
+            best = j
+    return best
+
+
+def _reference_aggregation(windows, visible, method, postprocessing, strict_null):
+    """Plain-list aggregation rule: (identity, unnormalised p_jn)."""
+    null_idx = len(windows[0]) - 1
+    if not visible:
+        return null_idx, [0.0] * null_idx + [1.0]
+    kept = [w for w in windows if _first_argmax(w) != null_idx] if postprocessing else windows
+    if not kept:
+        mean = [sum(col) / len(windows) for col in zip(*windows)]
+        return (null_idx if strict_null else _first_argmax(mean[:null_idx])), mean
+    mean = [sum(col) / len(kept) for col in zip(*kept)]
+    if method == "avg":
+        return _first_argmax(mean), mean
+    votes = [_first_argmax(w) for w in kept]
+    top = max(votes.count(v) for v in votes)
+    return min(v for v in votes if votes.count(v) == top), mean
+
+
+# Small integer weights make exact ties between classes and between votes common.
+_window_weights = st.lists(st.lists(st.integers(1, 4), min_size=4, max_size=4),
+                           min_size=1, max_size=7)
+
+
+class TestAggregationReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_window_weights, st.booleans(), st.booleans(), st.booleans())
+    def test_every_variant_matches_reference(self, weights, visible, postprocessing, strict):
+        windows = [[w / sum(row) for w in row] for row in weights]
+        P = [ProbVector(values=np.array(w)) for w in windows]
+        vocab = ClassVocabulary(labels=(1, 2, 3))
+        options = dict(postprocessing=postprocessing, strict_null_fallback=strict)
+        scorers = Scorers(team=ArrayFrameScorer(team_rows([(TeamLabel.HOME, 0.9)] * len(P))),
+                          frame=ArrayFrameScorer(frame_rows_with_null(
+                              [0.0 if visible else 0.5] * len(P))),
+                          window=ArrayWindowScorer(windows))
+        for method in ("avg", "majority"):
+            want_id, want_mean = _reference_aggregation(windows, visible, method,
+                                                        postprocessing, strict)
+            want_p = np.asarray(want_mean) / sum(want_mean)
+            if method == "avg":
+                got_id, got_p = aggregate(P, visible, vocab, **options)
+            else:
+                got_id = aggregate_majority(P, visible, **options)
+                got_p = aggregate(P, visible, vocab, **options)[1]
+            assert got_id == want_id
+            assert np.allclose(got_p.values, want_p, atol=1e-12)
+            params = IdentParams(window=1, method=method, **options)
+            (result,) = run_pipeline([make_track(length=len(P))], scorers, None, vocab, params,
+                                     mask_rosters=False)
+            assert result.identity_unmasked == want_id
+            assert np.allclose(result.p_jn.values, want_p, atol=1e-12)
 
 
 class TestIdentify:
@@ -317,7 +389,7 @@ class TestFileScorers:
         path = tmp_path / "frames.jsonl"
         self._write_jsonl(path, [{"track_id": 1, "frame": 0, "probs": [1.0, 0.0]}])
         scorer = FileFrameScorer(path)
-        with pytest.raises(ScorerCoverageError, match="track 9"):
+        with pytest.raises(ScorerCoverageError, match=r"^no frame score for track 9 at frame 0$"):
             scorer.score_frame(make_track(track_id=9, length=1), 0)
 
     def test_window_scorer_keyed_by_first_frame(self, tmp_path):

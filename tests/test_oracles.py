@@ -24,7 +24,6 @@ from rinktrack.ident import (
     REFEREE_CLASS,
     IdentParams,
     Rosters,
-    Scorers,
     run_pipeline,
     window_starts,
 )
@@ -265,7 +264,7 @@ class TestOraclesMatchReference:
         tracklet = Track(track_id=77, detections=(
             det(0, 0.0), det(1, 0.0), det(2, 100.0), det(3, 100.0),
             det(4, 300.0), det(5, 0.0), det(6, 100.0), det(7, 0.0)))
-        window_scorer = bundle.window_scorer()
+        window_scorer = oracle_scorers(bundle).window
         tied = window_scorer.score_window(tracklet, 0, 4)
         assert same(tied, ref_score_window(bundle, tracklet, 0, 4))
         # The tie goes to track 2 (jersey 4), which comes second in the tracklet.
@@ -289,8 +288,7 @@ def test_masked_run_reports_the_unmasked_arm(method):
         window=10)
     bundle = generate(config, seed=11)
     tracklets = track(group_by_frame(bundle.detections), TrackerParams(min_hits=1))
-    frame_scorer, window_scorer, team_scorer = oracle_scorers(bundle)
-    scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
+    scorers = oracle_scorers(bundle)
     rosters = Rosters(home=build_roster_vector(bundle.home_roster, bundle.vocab),
                       away=build_roster_vector(bundle.away_roster, bundle.vocab))
     params = IdentParams(window=10, method=method)

@@ -24,7 +24,6 @@ from rinktrack.ident import (
     FileWindowScorer,
     IdentParams,
     Rosters,
-    Scorers,
     jersey_visible,
     run_pipeline,
 )
@@ -581,14 +580,13 @@ class TestScoreFileMemory:
 class TestOracleScorers:
     def test_all_invisible_scorer_blocks_visibility(self):
         bundle = generate(small_config(visibility_profile=0.0), seed=2)
-        frame_scorer = bundle.frame_scorer()
+        frame_scorer = oracle_scorers(bundle).frame
         for trk in bundle.gt_tracks:
             assert jersey_visible(trk, frame_scorer, theta=0.01) is False
 
     def test_perfect_scorers_give_perfect_pipeline(self):
         bundle = generate(small_config(), seed=4)
-        frame_scorer, window_scorer, team_scorer = oracle_scorers(bundle)
-        scorers = Scorers(team=team_scorer, frame=frame_scorer, window=window_scorer)
+        scorers = oracle_scorers(bundle)
         rosters = Rosters(home=build_roster_vector(bundle.home_roster, bundle.vocab),
                           away=build_roster_vector(bundle.away_roster, bundle.vocab))
         params = IdentParams(window=bundle.config.window)
@@ -598,7 +596,7 @@ class TestOracleScorers:
 
     def test_scorers_deterministic(self):
         bundle = generate(small_config(visibility_profile=0.5), seed=6)
-        ws = bundle.window_scorer()
+        ws = oracle_scorers(bundle).window
         trk = bundle.gt_tracks[0]
         first = ws.score_window(trk, 0, min(8, len(trk)))
         second = ws.score_window(trk, 0, min(8, len(trk)))
@@ -610,6 +608,6 @@ class TestOracleScorers:
         bundle = generate(config, seed=8)
         target = next(tid for tid, t in bundle.truth.items() if t.jersey == 1)
         trk = next(t for t in bundle.gt_tracks if t.track_id == target)
-        ws = bundle.window_scorer()
+        ws = oracle_scorers(bundle).window
         probs = ws.score_window(trk, 0, min(8, len(trk)))
         assert int(np.argmax(probs)) == bundle.vocab.index_of(8)

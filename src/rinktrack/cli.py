@@ -104,6 +104,9 @@ def load_config(path: str | Path) -> RunConfig:
         paths, videos = dict(data.get("paths", {})), list(data.get("videos", []))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
+    for name, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{p}: paths.{name} must be a path, got {value!r}")
     if not all(isinstance(entry, dict) for entry in videos):
         raise ConfigError(f"{p}: videos must be a list of objects, got {data['videos']!r}")
     return RunConfig(

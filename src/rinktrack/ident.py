@@ -320,8 +320,8 @@ class ScoreFile:
     sorted packed ``(T, K)`` keys, which costs 16 bytes a row where a dict
     of tuples would cost more than a whole team-score line.
 
-    Every row must be a distribution (finite entries in [0, 1] that sum to
-    1 within ``PROB_SUM_TOL``), all rows must have one width (``width`` if
+    Every row must be a distribution (finite JSON numbers, not booleans,
+    in [0, 1] that sum to 1 within ``PROB_SUM_TOL``), all rows must have one width (``width`` if
     given), and no ``(T, K)`` key may repeat. A violation raises
     :class:`ParseError` or :class:`ValidationError` naming ``path:line``.
     """
@@ -343,6 +343,10 @@ class ScoreFile:
                     raise ParseError(f"{where}: missing field {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{where}: {exc}") from None
+                # array("d") takes JSON true/false as 1.0/0.0; one scan of the
+                # line's text keeps the per-entry type check off clean lines.
+                if ("true" in line or "false" in line) and any(type(p) is bool for p in probs):
+                    raise ParseError(f"{where}: probabilities must be numbers, not booleans")
                 if width is None:
                     width = len(probs)
                 if len(probs) != width:

@@ -11,6 +11,7 @@ ground-truthed and deterministic given (config, seed).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from array import array
@@ -392,14 +393,15 @@ class OracleFrameScorer:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         rng = bundle._rng(_FRAME, gt_id, track.detections[index].frame)
+        # Each uniform(a, b) is spelled a + (b - a) * random(): the same value.
         if owned.visible[index]:
             # Mostly below the default gate (0.01) but occasionally above
             # it, so threshold sweeps see false negatives at tiny values.
-            null_mass = rng.uniform(0.003, 0.012)
+            null_mass = 0.003 + (0.012 - 0.003) * rng.random()
             probs[-1] = null_mass
             probs[bundle.vocab.index_of(bundle.truth[gt_id].jersey)] = (1.0 - null_mass) * 0.85
         else:
-            probs[-1] = rng.uniform(0.05, 0.99)
+            probs[-1] = 0.05 + (0.99 - 0.05) * rng.random()
         return _spread_remainder(probs, exclude_null=True)
 
 
@@ -493,15 +495,20 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
     """Box-center trajectories, shape (count, duration, 2), bounced at walls.
 
     Positions and velocities are Python floats; each step is the same
-    IEEE arithmetic a 2-element array would do, on the same draws.
+    IEEE arithmetic a 2-element array would do, on the same draws. Each
+    ``uniform(a, b)`` is spelled ``a + (b - a) * random()`` on float bounds,
+    numpy's own arithmetic for it on the same draw, without its
+    broadcasting path.
     """
     half_w, half_h = config.box_width / 2.0, config.box_height / 2.0
     lo_x, lo_y = half_w, half_h
     hi_x, hi_y = world_w - half_w, world_h - half_h
     lanes = config.layout == "lanes"
-    speed_range = config.speed_range
+    speed_lo = float(config.speed_range[0])
+    speed_span = float(config.speed_range[1]) - speed_lo
+    turn = 2.0 * np.pi
     change_rate = config.direction_change_rate
-    uniform, random = rng.uniform, rng.random
+    random = rng.random
     paths = np.zeros((count, config.duration, 2))
     if lanes:
         pitch = (world_h - config.box_height) / max(count - 1, 1)
@@ -513,23 +520,24 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
     for i in range(count):
         if lanes:
             y = half_h + i * pitch if count > 1 else world_h / 2.0
-            px, py = float(uniform(lo_x, hi_x)), y
-            vx, vy = float(rng.choice([-1.0, 1.0]) * uniform(*speed_range)), 0.0
+            px, py = lo_x + (hi_x - lo_x) * random(), y
+            vx, vy = float(rng.choice([-1.0, 1.0]) * (speed_lo + speed_span * random())), 0.0
         else:
-            px, py = uniform((lo_x, lo_y), (hi_x, hi_y)).tolist()
-            speed = uniform(*speed_range)
-            angle = uniform(0.0, 2.0 * np.pi)
+            px = lo_x + (hi_x - lo_x) * random()
+            py = lo_y + (hi_y - lo_y) * random()
+            speed = speed_lo + speed_span * random()
+            angle = 0.0 + turn * random()
             vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
         xs, ys = [], []
         for _ in range(config.duration):
             xs.append(px)
             ys.append(py)
             if random() < change_rate:
-                speed = uniform(*speed_range)
+                speed = speed_lo + speed_span * random()
                 if lanes:
                     vx, vy = float(rng.choice([-1.0, 1.0]) * speed), 0.0
                 else:
-                    angle = uniform(0.0, 2.0 * np.pi)
+                    angle = 0.0 + turn * random()
                     vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
             px += vx
             py += vy
@@ -561,6 +569,19 @@ def _pick_rosters(config: ScenarioConfig, vocab: ClassVocabulary,
 
 def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     """Build a fully ground-truthed scenario; deterministic given (config, seed)."""
+    # A scene is up to ~200k objects (boxes, detections, tuples) that form no
+    # cycles. Pausing the cyclic collector spares it re-walking them while
+    # they are built; reference counting still frees every temporary.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_scene(config, seed)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     vocab = ClassVocabulary(labels=config.vocab_labels) if config.vocab_labels else default_vocabulary()
     outside = sorted(
         {k for k in config.confusion if k not in vocab.labels}
@@ -646,8 +667,10 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     # noise_rng interleaves random(), ziggurat normal() and uniform(), so
     # its draws stay one detection at a time, in frame order. They are all
     # drawn first into flat buffers; the boxes are built in a second pass.
+    # normal(0.0, s) is spelled 0.0 + s * standard_normal() and uniform(a, b)
+    # a + (b - a) * random(): numpy's own arithmetic on the same draws.
     noise_rng = np.random.default_rng([seed, _NOISE])
-    random, normal, uniform = noise_rng.random, noise_rng.normal, noise_rng.uniform
+    random, standard_normal = noise_rng.random, noise_rng.standard_normal
     fn_rate, fp_rate, sigma = config.fn_rate, config.fp_rate, config.jitter_sigma
     fp_x_max = config.camera_width - config.box_width
     fp_y_max = config.camera_height - config.box_height
@@ -665,11 +688,13 @@ def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
             keep = not (fn_rate > 0 and random() < fn_rate)
             kept.append(keep)
             if keep and sigma > 0:
-                jitter.extend((normal(0.0, sigma), normal(0.0, sigma), uniform(0.6, 1.0)))
+                jitter.extend((0.0 + sigma * standard_normal(), 0.0 + sigma * standard_normal(),
+                               0.6 + (1.0 - 0.6) * random()))
         fp = fp_rate > 0 and random() < fp_rate
         has_fp.append(fp)
         if fp:
-            false_pos.extend((uniform(0.0, fp_x_max), uniform(0.0, fp_y_max), uniform(0.5, 0.9)))
+            false_pos.extend((0.0 + fp_x_max * random(), 0.0 + fp_y_max * random(),
+                              0.5 + (0.9 - 0.5) * random()))
 
     detections: list[tuple[int, Detection]] = []
     append = detections.append

@@ -175,6 +175,17 @@ class TestConfigSections:
         assert f"{config}: {section}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, name, value", [
+        ("track", "detections", 5),
+        ("eval", "gt", ["gt.csv"]),
+        ("identify", "vocab", {"file": "vocab.json"}),
+    ])
+    def test_path_values_must_be_strings(self, tmp_path, capsys, command, name, value):
+        config = write_config(tmp_path / "config.json", paths={name: value})
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"{config}: paths.{name} must be a path, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]\n")

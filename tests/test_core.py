@@ -1,6 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinktrack.core import (
@@ -58,6 +61,94 @@ class TestDetectionAndTrack:
             Track(track_id=1, detections=())
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)", re.I)
+
+
+def reference_parse(text):
+    """The detection CSV rules, written out plainly: ``frame,id,x,y,w,h,conf``
+    rows of at least seven fields, blank lines skipped; integer frame >= 0
+    and id; finite box with positive size; confidence in [0, 1].
+
+    Returns the rows as tuples, or ``("line N", error type)`` for the first line
+    that breaks a rule: the field count and field syntax, and a negative
+    frame, are parse errors; box and confidence values are validation errors.
+    """
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip(" "):
+            continue
+        fields = [f.strip(" ") for f in line.split(",")]
+        if len(fields) < 7:
+            return f"line {lineno}", ParseError
+        if not (_INT.fullmatch(fields[0]) and _INT.fullmatch(fields[1])
+                and all(_FLOAT.fullmatch(f) for f in fields[2:7])):
+            return f"line {lineno}", ParseError
+        frame, track_id = int(fields[0]), int(fields[1])
+        if frame < 0:
+            return f"line {lineno}", ParseError
+        x, y, w, h, conf = (float(f) for f in fields[2:7])
+        if not all(math.isfinite(v) for v in (x, y, w, h)) or w <= 0 or h <= 0:
+            return f"line {lineno}", ValidationError
+        if not 0.0 <= conf <= 1.0:
+            return f"line {lineno}", ValidationError
+        rows.append((track_id, frame, x, y, w, h, conf))
+    return rows
+
+
+# Field text for any column: numbers of both kinds, edge values and junk.
+_TOKEN = st.one_of(
+    st.integers(-3, 99).map(str),
+    st.floats(-1e4, 1e4).map(repr),
+    st.floats().map(repr),  # inf and nan included
+    st.sampled_from(["", "-0", "+3", "007", " 7 ", "1 2", "1.5", "1e3", "0x1", ".", "1.", ".5",
+                     "1e", "-", "--1", "1..2", "+inf", "Infinity", "infinit", "NaN", "oops"]))
+# Well-formed values at and beyond each column's bounds (frame, id, x, y, w, h, conf).
+_EDGES = [
+    ["-1", "-2", "0", "+0"],
+    ["-1", "-3", "0", "5000000000"],
+    ["inf", "-inf", "nan", "1e308", "-0.0"],
+    ["inf", "-inf", "nan", "-1e308", "-0.0"],
+    ["0", "-0.0", "-1.5", "1e-300", "inf", "nan"],
+    ["0.0", "-0.0", "-2", "5e-324", "-inf", "nan"],
+    ["0", "-0.0", "1", "1.0000000000000002", "-1e-9", "1.5", "nan"],
+]
+_VALID_FIELDS = st.tuples(
+    st.integers(0, 5000).map(str), st.integers(-1, 99).map(str),
+    st.floats(-1e4, 1e4).map(repr), st.floats(-1e4, 1e4).map(repr),
+    st.floats(0.5, 1e3).map(repr), st.floats(0.5, 1e3).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+)
+
+
+@st.composite
+def csv_lines(draw):
+    """A blank line or a valid row, then perhaps one field set to an edge value
+    or junk, or the row cut short or extended."""
+    kind = draw(st.sampled_from(["valid", "valid", "blank", "edge", "edge", "junk", "count"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    fields = list(draw(_VALID_FIELDS))
+    column = draw(st.integers(0, 6))
+    if kind == "edge":
+        fields[column] = draw(st.sampled_from(_EDGES[column]))
+    elif kind == "junk":
+        fields[column] = draw(_TOKEN)
+    elif kind == "count":
+        count = draw(st.integers(0, 9))
+        fields = fields[:count] + [draw(_TOKEN) for _ in range(count - 7)]
+    return ",".join(fields)
+
+
+def parse_outcome(text):
+    """What ``parse_detection_rows`` gives, in ``reference_parse``'s form."""
+    try:
+        rows = parse_detection_rows(text)
+    except (ParseError, ValidationError) as exc:
+        return str(exc).partition(": ")[0], type(exc)
+    return [(tid, d.frame, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence) for tid, d in rows]
+
+
 class TestDetectionFile:
     def test_raw_detection_row(self):
         (tid, det), = parse_detection_rows("1,-1,10,20,30,40,0.9\n")
@@ -103,6 +194,12 @@ class TestDetectionFile:
                 for f, tid, x, y, w, h, c in raw]
         canonical = serialize_detection_rows(rows)
         assert serialize_detection_rows(parse_detection_rows(canonical)) == canonical
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(csv_lines(), max_size=12), st.booleans())
+    def test_malformed_lines_match_reference(self, lines, trailing_newline):
+        text = "\n".join(lines) + ("\n" if trailing_newline else "")
+        assert parse_outcome(text) == reference_parse(text)
 
     def test_rows_to_tracks_groups_and_sorts(self):
         text = "2,5,0,0,10,10,1.0\n1,5,0,0,10,10,1.0\n1,-1,9,9,9,9,0.5\n4,6,0,0,10,10,1.0\n"

@@ -443,6 +443,13 @@ class TestFileScorers:
                 assert scores.get(track_id, frame + 1) is None
         assert scores.get(6, 0) is None
 
+    def test_boolean_words_outside_probabilities_accepted(self, tmp_path):
+        path = tmp_path / "teams.jsonl"
+        self._write_jsonl(path, [{"track_id": 2, "frame": 0, "team_probs": [0.1, 0.8, 0.1],
+                                  "source": "true", "checked": False}])
+        scorer = FileTeamScorer(path)
+        assert scorer.score_frame(make_track(track_id=2, length=1), 0).tolist() == [0.1, 0.8, 0.1]
+
     def test_rows_are_read_only(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         self._write_jsonl(path, [{"track_id": 1, "frame": 0, "probs": [0.5, 0.5]}])
@@ -507,6 +514,10 @@ class TestFileScorers:
          ParseError, "must be integers"),
         (FileWindowScorer, '{"track_id": "1", "window_start": 1, "probs": [0.5, 0.5, 0.0]}',
          ParseError, "must be integers"),
+        (FileTeamScorer, '{"track_id": 1, "frame": 1, "team_probs": [true, false, false]}',
+         ParseError, "not booleans"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [0.0, 0.0, true]}',
+         ParseError, "not booleans"),
     ])
     def test_rejection_names_file_and_line(self, tmp_path, cls, bad, error, message):
         key, field = (("window_start", "probs") if cls is FileWindowScorer

@@ -226,6 +226,85 @@ class TestGenerate:
         assert set(away) <= set(bundle.away_roster)
 
 
+class TestCollectorPause:
+    """``generate`` pauses the cyclic collector while it builds and restores it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, enabled):
+        was_enabled = gc.isenabled()
+        set_collector = gc.enable if enabled else gc.disable
+        try:
+            set_collector()
+            generate(small_config(), seed=1)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValidationError, match="lanes"):
+                generate(small_config(players_per_team=10, camera_height=200.0), seed=0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_no_collection_while_building(self):
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            bundle = generate(small_config(duration=400, fp_rate=0.2, jitter_sigma=1.0), seed=3)
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was_enabled else gc.disable)()
+        assert len(bundle.detections) > 2000  # many times the collector's 700-object trigger
+        assert phases == []
+
+
+class TestDrawSpellings:
+    """``sim`` spells ``uniform(a, b)`` as ``a + (b - a) * random()`` and
+    ``normal(0.0, s)`` as ``0.0 + s * standard_normal()``. Both are numpy's own
+    arithmetic on the same draw: the values, and the stream state after
+    them, equal ``Generator.uniform``/``normal``."""
+
+    # "+ 0" turns -0.0 into 0.0: numpy's array path rejects a -0.0 range.
+    bounds = st.one_of(st.floats(-1e9, 1e9), st.integers(-10**6, 10**6)).map(lambda v: v + 0)
+    scales = st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6))
+    calls = st.lists(st.one_of(
+        st.tuples(st.just("uniform"), bounds, bounds).map(
+            lambda c: (c[0], *sorted(c[1:]))),
+        st.tuples(st.just("normal"), scales),
+        st.tuples(st.just("random")),
+    ), min_size=1, max_size=40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), calls)
+    def test_scalar_calls(self, seed, calls):
+        numpy_rng, spelled_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, (name, *args) in enumerate(calls):
+            if name == "uniform":
+                a, b = float(args[0]), float(args[1])
+                want, got = numpy_rng.uniform(*args), a + (b - a) * spelled_rng.random()
+            elif name == "normal":
+                want = numpy_rng.normal(0.0, args[0])
+                got = 0.0 + args[0] * spelled_rng.standard_normal()
+            else:
+                want, got = numpy_rng.random(), spelled_rng.random()
+            assert (type(got), got) == (type(want), want), f"call {i}: {name}{tuple(args)!r}"
+        assert spelled_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.tuples(bounds, bounds).map(sorted), min_size=1, max_size=6))
+    def test_array_bounds(self, seed, pairs):
+        numpy_rng, spelled_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        lows, highs = zip(*pairs)
+        want = numpy_rng.uniform(lows, highs).tolist()
+        got = [float(a) + (float(b) - float(a)) * spelled_rng.random() for a, b in pairs]
+        assert got == want, f"uniform({lows!r}, {highs!r})"
+        assert spelled_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+
 def _num(v) -> str:
     """Type-tagged repr, so a Python float and an np.float64 of one value differ."""
     return f"{type(v).__name__}:{float(v)!r}"

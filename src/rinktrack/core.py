@@ -79,7 +79,7 @@ def json_ints(path: str | Path, name: str, values) -> list[int]:
     return values
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundingBox:
     """Axis-aligned pixel box given by its top-left corner and size."""
 
@@ -88,12 +88,17 @@ class BoundingBox:
     w: float
     h: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: float, y: float, w: float, h: float) -> None:
         isfinite = math.isfinite
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
-            raise ValidationError(f"box coordinates must be finite: {self}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(f"box width/height must be positive: w={self.w}, h={self.h}")
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            raise ValidationError(f"box coordinates must be finite: "
+                                  f"BoundingBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
+        if w <= 0 or h <= 0:
+            raise ValidationError(f"box width/height must be positive: w={w}, h={h}")
+        _box_x(self, x)
+        _box_y(self, y)
+        _box_w(self, w)
+        _box_h(self, h)
 
     @property
     def x2(self) -> float:
@@ -112,7 +117,12 @@ class BoundingBox:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
 
-@dataclass(frozen=True, slots=True)
+# The slots' own setters store a frozen instance's checked fields. They do
+# what object.__setattr__ does without its attribute lookup on every call.
+_box_x, _box_y, _box_w, _box_h = (vars(BoundingBox)[name].__set__ for name in ("x", "y", "w", "h"))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Detection:
     """One observed box on one frame."""
 
@@ -120,11 +130,18 @@ class Detection:
     box: BoundingBox
     confidence: float
 
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValidationError(f"frame index must be >= 0, got {self.frame}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
+    def __init__(self, frame: int, box: BoundingBox, confidence: float) -> None:
+        if frame < 0:
+            raise ValidationError(f"frame index must be >= 0, got {frame}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValidationError(f"confidence must be in [0, 1], got {confidence}")
+        _det_frame(self, frame)
+        _det_box(self, box)
+        _det_confidence(self, confidence)
+
+
+_det_frame, _det_box, _det_confidence = (vars(Detection)[name].__set__
+                                         for name in ("frame", "box", "confidence"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +323,7 @@ def parse_detection_rows(text: str) -> list[Row]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) < 7:
+        if len(parts) != 7:
             raise ParseError(f"line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
         try:
             frame = int(parts[0])

@@ -16,7 +16,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -499,6 +499,13 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
     ``uniform(a, b)`` is spelled ``a + (b - a) * random()`` on float bounds,
     numpy's own arithmetic for it on the same draw, without its
     broadcasting path.
+
+    Every free-layout draw is a ``random()``, so they are filled in blocks:
+    an object's four start draws and one per frame when it starts, two
+    more at each direction change. A block never holds a draw that might
+    not come, so the values, their order and the generator's final state
+    are those of scalar calls. Lanes draw through ``rng.choice``, whose
+    integer path a block of doubles cannot replay, so they keep scalar calls.
     """
     half_w, half_h = config.box_width / 2.0, config.box_height / 2.0
     lo_x, lo_y = half_w, half_h
@@ -508,8 +515,9 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
     speed_span = float(config.speed_range[1]) - speed_lo
     turn = 2.0 * np.pi
     change_rate = config.direction_change_rate
+    duration = config.duration
     random = rng.random
-    paths = np.zeros((count, config.duration, 2))
+    paths = np.zeros((count, duration, 2))
     if lanes:
         pitch = (world_h - config.box_height) / max(count - 1, 1)
         if count > 1 and pitch < config.box_height + 2.0:
@@ -523,34 +531,49 @@ def _simulate_paths(config: ScenarioConfig, rng: np.random.Generator, count: int
             px, py = lo_x + (hi_x - lo_x) * random(), y
             vx, vy = float(rng.choice([-1.0, 1.0]) * (speed_lo + speed_span * random())), 0.0
         else:
-            px = lo_x + (hi_x - lo_x) * random()
-            py = lo_y + (hi_y - lo_y) * random()
-            speed = speed_lo + speed_span * random()
-            angle = 0.0 + turn * random()
+            draws = random(4 + duration).tolist()
+            px = lo_x + (hi_x - lo_x) * draws[0]
+            py = lo_y + (hi_y - lo_y) * draws[1]
+            speed = speed_lo + speed_span * draws[2]
+            angle = 0.0 + turn * draws[3]
             vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
+            k = 4  # the next unread draw
         xs, ys = [], []
-        for _ in range(config.duration):
+        for _ in range(duration):
             xs.append(px)
             ys.append(py)
-            if random() < change_rate:
-                speed = speed_lo + speed_span * random()
-                if lanes:
+            if lanes:
+                if random() < change_rate:
+                    speed = speed_lo + speed_span * random()
                     vx, vy = float(rng.choice([-1.0, 1.0]) * speed), 0.0
-                else:
-                    angle = 0.0 + turn * random()
-                    vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
+            elif draws[k] < change_rate:
+                draws += random(2).tolist()  # this change's speed and angle
+                speed = speed_lo + speed_span * draws[k + 1]
+                angle = 0.0 + turn * draws[k + 2]
+                vx, vy = float(speed * np.cos(angle)), float(speed * np.sin(angle))
+                k += 3
+            else:
+                k += 1
+            # Bounce off a wall; only a step longer than the world can land
+            # beyond the opposite wall, and there the position is clipped.
             px += vx
             py += vy
             if px < lo_x:
                 px, vx = 2 * lo_x - px, -vx
+                if px > hi_x:
+                    px = hi_x
             elif px > hi_x:
                 px, vx = 2 * hi_x - px, -vx
+                if px < lo_x:
+                    px = lo_x
             if py < lo_y:
                 py, vy = 2 * lo_y - py, -vy
+                if py > hi_y:
+                    py = hi_y
             elif py > hi_y:
                 py, vy = 2 * hi_y - py, -vy
-            px = min(max(px, lo_x), hi_x)
-            py = min(max(py, lo_y), hi_y)
+                if py < lo_y:
+                    py = lo_y
         paths[i, :, 0] = xs
         paths[i, :, 1] = ys
     return paths
@@ -634,6 +657,12 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     view_end = offsets + config.camera_width
     # One int object per frame, shared by every box and visibility set.
     frame_ints = list(range(config.duration))
+    # Frame, x and y of every ground-truth row, one column per field, in
+    # gt_tracks order; ``rows`` of them are filled.
+    frame_col = np.empty(count * config.duration, dtype=np.intp)
+    x_col = np.empty(count * config.duration)
+    y_col = np.empty(count * config.duration)
+    rows = 0
 
     for i in range(count):
         tid = i + 1
@@ -645,12 +674,16 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
         pan_gaps += [PanGap(track_id=tid, prev_frame=prev, next_frame=nxt)
                      for prev, nxt in zip(in_view[jumps].tolist(), in_view[jumps + 1].tolist())]
         frames = [frame_ints[t] for t in in_view.tolist()]
+        end = rows + len(in_view)
+        frame_col[rows:end] = in_view
+        x_col[rows:end] = cx[in_view] - offsets[in_view] - half_w
+        y_col[rows:end] = cy[in_view] - half_h
         # Iterating the arrays keeps x and y np.float64, as the box CSVs and
-        # tracker outputs have always seen them.
-        xs = cx[in_view] - offsets[in_view] - half_w
-        ys = cy[in_view] - half_h
-        dets = tuple(Detection(t, BoundingBox(x, y, box_w, box_h), 1.0)
-                     for t, x, y in zip(frames, xs, ys))
+        # tracker outputs have always seen them. No view outlives the
+        # statement, so deleting the columns below frees them.
+        dets = tuple(map(Detection, frames, map(BoundingBox, x_col[rows:end], y_col[rows:end],
+                                                repeat(box_w), repeat(box_h)), repeat(1.0)))
+        rows = end
         number_frames: list[int] = []
         if teams[i] != "referee" and not null_flags[i]:
             # One draw per in-view frame, in frame order.
@@ -674,17 +707,16 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     fn_rate, fp_rate, sigma = config.fn_rate, config.fp_rate, config.jitter_sigma
     fp_x_max = config.camera_width - config.box_width
     fp_y_max = config.camera_height - config.box_height
-    by_frame: dict[int, list[Detection]] = {}
-    for trk in gt_tracks:
-        for det in trk.detections:
-            by_frame.setdefault(det.frame, []).append(det)
-    frame_order = sorted(by_frame)
+    # A stable sort by frame puts each frame's rows in gt_tracks order.
+    frame_col = frame_col[:rows]
+    order = np.argsort(frame_col, kind="stable")
+    frame_values, frame_sizes = np.unique(frame_col, return_counts=True)
     kept = bytearray()  # per ground-truth row, in frame order
     jitter = array("d")  # dx, dy, confidence per kept row when sigma > 0
     has_fp = bytearray()  # per frame
     false_pos = array("d")  # x, y, confidence per false positive
-    for t in frame_order:
-        for _ in by_frame[t]:
+    for size in frame_sizes.tolist():
+        for _ in range(size):
             keep = not (fn_rate > 0 and random() < fn_rate)
             kept.append(keep)
             if keep and sigma > 0:
@@ -696,23 +728,33 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
             false_pos.extend((0.0 + fp_x_max * random(), 0.0 + fp_y_max * random(),
                               0.5 + (0.9 - 0.5) * random()))
 
+    # The kept rows' detections, in frame order, from the columns.
+    kept_rows = order[np.frombuffer(kept, dtype=bool)]
+    frame_order = [frame_ints[t] for t in frame_values.tolist()]
+    kept_sizes = np.bincount(frame_col[kept_rows], minlength=config.duration)[frame_values].tolist()
+    if sigma > 0:
+        # Each dx, dy in the jitter buffer becomes x + dx, y + dy in place:
+        # the IEEE add of np.float64 + float, read back as np.float64.
+        # Confidences are read from the buffer itself, as floats.
+        shifted = np.frombuffer(jitter).reshape(-1, 3)
+        np.add(x_col[kept_rows], shifted[:, 0], out=shifted[:, 0])
+        np.add(y_col[kept_rows], shifted[:, 1], out=shifted[:, 1])
+        boxes = map(BoundingBox, shifted[:, 0], shifted[:, 1], repeat(box_w), repeat(box_h))
+        kept_frames = chain.from_iterable(map(repeat, frame_order, kept_sizes))
+        kept_dets = map(Detection, kept_frames, boxes, islice(jitter, 2, None, 3))
+    else:  # unjittered detections are the ground-truth objects themselves
+        gt_rows = [d for trk in gt_tracks for d in trk.detections]
+        kept_dets = map(gt_rows.__getitem__, kept_rows.tolist())
+    # The columns go before the detections are built, at the scene's memory peak.
+    del frame_col, x_col, y_col, order, kept_rows
+
     detections: list[tuple[int, Detection]] = []
-    append = detections.append
-    keeps = iter(kept)
-    j = f = 0
-    for t, fp in zip(frame_order, has_fp):
-        for det, keep in zip(by_frame[t], keeps):
-            if not keep:
-                continue
-            if sigma > 0:
-                box = det.box
-                det = Detection(t, BoundingBox(box.x + jitter[j], box.y + jitter[j + 1],
-                                               box.w, box.h), jitter[j + 2])
-                j += 3
-            append((-1, det))
+    f = 0
+    for t, size, fp in zip(frame_order, kept_sizes, has_fp):
+        detections += zip(repeat(-1), islice(kept_dets, size))
         if fp:
-            append((-1, Detection(t, BoundingBox(false_pos[f], false_pos[f + 1], box_w, box_h),
-                                  false_pos[f + 2])))
+            detections.append((-1, Detection(t, BoundingBox(false_pos[f], false_pos[f + 1],
+                                                            box_w, box_h), false_pos[f + 2])))
             f += 3
 
     return GroundTruthBundle(

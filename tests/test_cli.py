@@ -227,6 +227,13 @@ class TestTrack:
         config = write_config(tmp_path / "config.json", paths={"detections": str(bad)})
         assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
+    def test_extra_fields_exit_1_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,-1,1,2,10,10,1.0\n1,-1,10,20,30,40,0.9,junk\n")
+        config = write_config(tmp_path / "config.json", paths={"detections": str(bad)})
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"{bad}: line 2: expected 7 comma-separated fields, got 8" in capsys.readouterr().err
+
 
 class TestIdentify:
     def test_emits_both_accuracy_columns(self, workspace):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -40,6 +42,69 @@ class TestBoundingBox:
         assert box.center == (25, 40)
 
 
+class TestBoxAndDetectionConstruction:
+    """The hand-written constructors behave as the generated dataclass ones did."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((float("nan"), 0, 1, 1), "box coordinates must be finite: BoundingBox(x=nan, y=0, w=1, h=1)"),
+        ((0, np.float64("inf"), 1.0, 2.5),
+         "box coordinates must be finite: BoundingBox(x=0, y=np.float64(inf), w=1.0, h=2.5)"),
+        ((1, 2, 0, 3), "box width/height must be positive: w=0, h=3"),
+        ((1, 2, 3.5, -1.5), "box width/height must be positive: w=3.5, h=-1.5"),
+    ])
+    def test_box_error_messages(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            BoundingBox(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("frame, confidence, message", [
+        (-1, 0.5, "frame index must be >= 0, got -1"),
+        (3, 1.5, "confidence must be in [0, 1], got 1.5"),
+        (3, float("nan"), "confidence must be in [0, 1], got nan"),
+    ])
+    def test_detection_error_messages(self, frame, confidence, message):
+        with pytest.raises(ValidationError) as info:
+            Detection(frame, BoundingBox(0, 0, 1, 1), confidence)
+        assert str(info.value) == message
+
+    def test_keyword_construction_and_repr(self):
+        box = BoundingBox(h=4.0, w=3.0, y=2.0, x=1.0)
+        det = Detection(confidence=0.5, box=box, frame=7)
+        assert (box.x, box.y, box.w, box.h) == (1.0, 2.0, 3.0, 4.0)
+        assert (det.frame, det.box, det.confidence) == (7, box, 0.5)
+        assert repr(det) == ("Detection(frame=7, box=BoundingBox(x=1.0, y=2.0, w=3.0, h=4.0), "
+                             "confidence=0.5)")
+        with pytest.raises(TypeError):
+            BoundingBox(1.0, 2.0, 3.0)
+        with pytest.raises(TypeError):
+            Detection(frame=1, box=box, confidence=0.5, extra=1)
+
+    def test_replace_runs_the_checks(self):
+        box = BoundingBox(np.float64(1.5), 2.0, 3.0, 4.0)
+        moved = dataclasses.replace(box, y=9.0)
+        assert moved == BoundingBox(1.5, 9.0, 3.0, 4.0) and type(moved.x) is np.float64
+        det = dataclasses.replace(Detection(2, box, 0.5), confidence=1.0)
+        assert det == Detection(2, box, 1.0)
+        with pytest.raises(ValidationError, match="positive"):
+            dataclasses.replace(box, w=0.0)
+        with pytest.raises(ValidationError, match="confidence"):
+            dataclasses.replace(det, confidence=2.0)
+
+    def test_pickle_round_trip(self):
+        det = Detection(5, BoundingBox(np.float64(1.25), 2.0, 3.0, 4.0), 0.75)
+        again = pickle.loads(pickle.dumps(det))
+        assert again == det and hash(again) == hash(det)
+        assert type(again.box.x) is np.float64 and type(again.box.y) is float
+
+    def test_frozen(self):
+        det = Detection(1, BoundingBox(0, 0, 1, 1), 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.box.x = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.frame = 2
+        assert not hasattr(det, "__dict__")  # still slotted
+
+
 class TestDetectionAndTrack:
     def test_confidence_bounds(self):
         box = BoundingBox(0, 0, 1, 1)
@@ -67,7 +132,7 @@ _FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infini
 
 def reference_parse(text):
     """The detection CSV rules, written out plainly: ``frame,id,x,y,w,h,conf``
-    rows of at least seven fields, blank lines skipped; integer frame >= 0
+    rows of exactly seven fields, blank lines skipped; integer frame >= 0
     and id; finite box with positive size; confidence in [0, 1].
 
     Returns the rows as tuples, or ``("line N", error type)`` for the first line
@@ -79,7 +144,7 @@ def reference_parse(text):
         if not line.strip(" "):
             continue
         fields = [f.strip(" ") for f in line.split(",")]
-        if len(fields) < 7:
+        if len(fields) != 7:
             return f"line {lineno}", ParseError
         if not (_INT.fullmatch(fields[0]) and _INT.fullmatch(fields[1])
                 and all(_FLOAT.fullmatch(f) for f in fields[2:7])):
@@ -171,6 +236,14 @@ class TestDetectionFile:
             parse_detection_rows("1,-1,10,20,30,40,0.9\n1,-1,oops,20,30,40,0.9\n")
         with pytest.raises(ParseError, match="line 1"):
             parse_detection_rows("1,2,3\n")
+
+    @pytest.mark.parametrize("line", ["1,-1,10,20,30,40,0.9,junk", "1,-1,10,20,30,40,0.9,",
+                                      "1,-1,10,20,30,40,0.9,0.5,0.5"])
+    def test_extra_fields_rejected(self, line):
+        count = line.count(",") + 1
+        with pytest.raises(ParseError, match=f"^line 2: expected 7 comma-separated fields, "
+                                             f"got {count}$"):
+            parse_detection_rows(f"0,-1,1,2,3,4,0.5\n{line}\n")
 
     def test_round_trip_is_byte_exact(self):
         rows = parse_detection_rows("0,-1,10,20,30,40,0.9\n3,7,1.5,2.25,10,12,1.0\n")

@@ -402,6 +402,36 @@ def test_paths_match_array_reference(layout, count, change_rate, speeds):
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
 
 
+class TestBlockDrawnPaths:
+    """Free-layout motion is drawn in blocks that never hold a draw that might
+    not come: paths and the generator's final state equal scalar calls'."""
+
+    speeds = st.one_of(
+        st.floats(0.0, 50.0).map(lambda v: (v, v)),  # equal bounds
+        st.tuples(st.floats(0.0, 10.0), st.floats(100.0, 5000.0)),  # steps past the world
+        st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)).map(sorted).map(tuple),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 6), st.integers(1, 300),
+           st.floats(0.0, 1.0), speeds)
+    def test_free_paths_match_array_reference(self, seed, count, duration, change_rate, speeds):
+        config = small_config(layout="free", duration=duration, direction_change_rate=change_rate,
+                              speed_range=speeds)
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = _simulate_paths(config, fast_rng, count, 480.0, config.camera_height)
+        ref = reference_paths(config, ref_rng, count, 480.0, config.camera_height)
+        assert np.array_equal(fast, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_unjittered_detections_are_the_ground_truth_objects(self):
+        bundle = generate(small_config(layout="free", fn_rate=0.3, fp_rate=0.2), seed=4)
+        gt = {id(d): d for trk in bundle.gt_tracks for d in trk.detections}
+        real = [d for _, d in bundle.detections if d.confidence == 1.0]  # false positives < 0.9
+        assert 0 < len(real) < len(gt)
+        assert all(gt.get(id(d)) is d for d in real)
+
+
 class TestGenerateGolden:
     """``generate`` is pinned value for value and type for type.
 

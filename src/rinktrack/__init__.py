@@ -14,7 +14,7 @@ from .core import (
     default_vocabulary,
     parse_detection_file,
 )
-from .tracker import SortTracker, TrackerParams, hungarian, iou, track
+from .tracker import SortTracker, TrackerParams, hungarian, track
 
 __all__ = [
     "BoundingBox",
@@ -31,7 +31,6 @@ __all__ = [
     "build_roster_vector",
     "default_vocabulary",
     "hungarian",
-    "iou",
     "parse_detection_file",
     "track",
 ]

@@ -215,9 +215,13 @@ def _identify_and_report(config: RunConfig, tracks: list[core.Track],
     params = config.ident if method is None else replace(config.ident, method=method)
     rosters = None
     if mask_rosters:
-        home, away = core.load_rosters(config.path("rosters"))
-        rosters = Rosters(home=core.build_roster_vector(home, vocab),
-                          away=core.build_roster_vector(away, vocab))
+        path = config.path("rosters")
+        home, away = core.load_rosters(path)
+        try:
+            rosters = Rosters(home=core.build_roster_vector(home, vocab),
+                              away=core.build_roster_vector(away, vocab))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     results = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=mask_rosters)
 
     payload: dict = {
@@ -245,7 +249,7 @@ def _identify_and_report(config: RunConfig, tracks: list[core.Track],
 
 
 def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
-    tracks = core.rows_to_tracks(core.parse_detection_file(config.path("tracks")))
+    tracks = core.rows_to_tracks(_tracked_rows(config.path("tracks")))
     vocab = core.ClassVocabulary.from_json(config.path("vocab"))
     scorers = _file_scorers(config, vocab)
     expected = None
@@ -282,22 +286,30 @@ def _clip_to_overlap(name: str, gt_rows: list[core.Row], pred_rows: list[core.Ro
     return clip(gt_rows), clip(pred_rows)
 
 
-def _eval_rows(path: str | Path) -> list[core.Row]:
-    """An eval input's rows: every id is a tracked id (>= 0), listed at most once a frame."""
+def _tracked_rows(path: str | Path) -> list[core.Row]:
+    """A tracks file's rows; a track id listed twice on one frame is an error naming the file."""
     rows = core.parse_detection_file(path)
     seen = set()
     for track_id, det in rows:
-        if track_id < 0:
-            raise ValidationError(f"{path}: frame {det.frame}: id {track_id} is not a track id; "
-                                  f"eval scores ids >= 0, and raw detections carry -1")
-        if (det.frame, track_id) in seen:
+        if track_id >= 0 and (det.frame, track_id) in seen:
             raise ValidationError(f"{path}: frame {det.frame}: id {track_id} is listed more "
                                   f"than once")
         seen.add((det.frame, track_id))
     return rows
 
 
-def _eval_videos(config: RunConfig) -> list[tuple[str, list[core.Row], list[core.Row]]]:
+def _eval_rows(path: str | Path) -> list[core.Row]:
+    """An eval input's rows: every id is a tracked id (>= 0), listed at most once a frame."""
+    rows = _tracked_rows(path)
+    for track_id, det in rows:
+        if track_id < 0:
+            raise ValidationError(f"{path}: frame {det.frame}: id {track_id} is not a track id; "
+                                  f"eval scores ids >= 0, and raw detections carry -1")
+    return rows
+
+
+def _eval_videos(config: RunConfig) -> list[tuple[str, str, list[core.Row], list[core.Row]]]:
+    """(name, ground truth as errors name it, gt rows, tracks rows) for each video."""
     videos = []
     if config.videos:
         for entry in config.videos:
@@ -312,9 +324,11 @@ def _eval_videos(config: RunConfig) -> list[tuple[str, list[core.Row], list[core
                                       f"got {entry[key]!r}")
                 if not Path(entry[key]).exists():
                     raise ConfigError(f"videos entry {name!r}: file not found: {entry[key]}")
-            videos.append((name, _eval_rows(entry["gt"]), _eval_rows(entry["tracks"])))
+            videos.append((name, f"videos entry {name!r}: {entry['gt']}",
+                           _eval_rows(entry["gt"]), _eval_rows(entry["tracks"])))
     else:
-        videos.append(("video_0", _eval_rows(config.path("gt")), _eval_rows(config.path("tracks"))))
+        gt = config.path("gt")
+        videos.append(("video_0", str(gt), _eval_rows(gt), _eval_rows(config.path("tracks"))))
     return videos
 
 
@@ -350,8 +364,11 @@ def cmd_eval(config: RunConfig, out_dir: Path, extra: dict | None = None) -> int
     grouped = []
     gt_tracks = []
     mparams = config.metrics
-    for name, gt_rows, pred_rows in videos:
+    for name, gt_label, gt_rows, pred_rows in videos:
         gt_rows, pred_rows = _clip_to_overlap(name, gt_rows, pred_rows)
+        if not gt_rows:
+            raise ValidationError(f"{gt_label}: no ground-truth rows to evaluate; "
+                                  f"MOTA needs at least one")
         grouped.append((name,
                         core.group_boxes_by_frame(gt_rows),
                         core.group_boxes_by_frame(pred_rows)))

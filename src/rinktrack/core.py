@@ -253,13 +253,6 @@ class ProbVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def null_index(self) -> int:
-        return len(self.values) - 1
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.values))
-
 
 @dataclass(frozen=True)
 class RosterVector:
@@ -278,9 +271,6 @@ class RosterVector:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "mask", arr)
-
-    def __len__(self) -> int:
-        return len(self.mask)
 
 
 def build_roster_vector(roster: Iterable[int], vocab: ClassVocabulary) -> RosterVector:

@@ -456,23 +456,3 @@ class FileWindowScorer(_FileScorer):
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
         return self._row(track, start)
 
-
-_DEFAULT_COLOR_TO_TEAM = {"white": "away", "ref": "referee"}
-
-
-def collapse_team_colors(color_probs: Mapping[str, float],
-                         color_to_team: Mapping[str, str] | None = None) -> np.ndarray:
-    """Fold jersey-color class scores into [home, away, referee] mass.
-
-    Colors without an explicit mapping count as home (dark) jerseys;
-    by default white maps to away and "ref" to referee.
-    """
-    mapping = dict(_DEFAULT_COLOR_TO_TEAM)
-    if color_to_team:
-        mapping.update(color_to_team)
-    out = np.zeros(3)
-    slot = {"home": 0, "away": 1, "referee": 2}
-    for color, prob in color_probs.items():
-        team = mapping.get(color, "home")
-        out[slot[team]] += float(prob)
-    return out

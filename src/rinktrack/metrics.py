@@ -165,11 +165,6 @@ def idf1_components(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5
     return _idtp(matching.overlaps), matching.gt_total, matching.pred_total
 
 
-def idf1(gt: FrameBoxes, pred: FrameBoxes, iou_threshold: float = 0.5) -> float:
-    """IDF1 under the best identity mapping."""
-    return _idf1(*idf1_components(gt, pred, iou_threshold))
-
-
 def pan_sweep(gt_tracks: Iterable[Track], deltas: Iterable[int]) -> list[tuple[int, int]]:
     """(delta, ground-truth gaps longer than delta frames) for each delta.
 

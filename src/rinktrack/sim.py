@@ -268,15 +268,11 @@ class GroundTruthBundle:
             self._owned = _Ownership(self, track)
         return self._owned
 
-    def track_truth(self, track: Track) -> TrackTruth | None:
-        """Majority ground-truth identity over a (possibly tracker-made) tracklet."""
-        gt_id = self._ownership(track).owner(0, len(track))
-        return None if gt_id is None else self.truth[gt_id]
-
     def expected_class(self, track: Track) -> int | None:
-        """Expected identification output for a tracklet (class index or referee sentinel)."""
-        truth = self.track_truth(track)
-        return None if truth is None else truth.expected_class(self.vocab)
+        """Expected identification output for a tracklet (class index or referee sentinel),
+        from its majority ground-truth owner; None when no ground truth owns it."""
+        gt_id = self._ownership(track).owner(0, len(track))
+        return None if gt_id is None else self.truth[gt_id].expected_class(self.vocab)
 
     # -- oracle scorers -------------------------------------------------------
 

@@ -53,16 +53,6 @@ class TrackerParams:
                       for name, value in known_fields(cls, data).items()})
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint, 1 when identical."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
 def box_corners(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """Boxes as an (n, 4) array of [x, y, x2, y2] rows."""
     return np.array([[b.x, b.y, b.x2, b.y2] for b in boxes]).reshape(-1, 4)

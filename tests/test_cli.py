@@ -309,6 +309,29 @@ class TestIdentify:
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"{path}:5: " in capsys.readouterr().err
 
+    def test_repeated_track_id_on_a_frame_exits_1_naming_the_file(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        first = (bundle_dir / "gt.csv").read_text().splitlines()[0]
+        frame, track_id = first.split(",")[:2]
+        tracks = tmp_path / "dup.csv"
+        tracks.write_text((bundle_dir / "gt.csv").read_text()
+                          + f"{frame},{track_id},300.0,250.0,20.0,30.0,1.0\n")
+        data = json.loads(config.read_text())
+        data["paths"]["tracks"] = str(tracks)
+        config.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {tracks}: frame {frame}: id {track_id} is listed more than once"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_roster_number_outside_vocabulary_exits_1_naming_the_file(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        rosters = bundle_dir / "rosters.json"
+        data = json.loads(rosters.read_text())
+        rosters.write_text(json.dumps({"home": data["home"] + [999], "away": data["away"]}))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {rosters}: roster numbers not in vocabulary: [999]"
+                in capsys.readouterr().err)
 
     def test_one_identification_pass(self, workspace, monkeypatch):
         tmp_path, config, _ = workspace
@@ -447,6 +470,23 @@ class TestEval:
         config.write_text(json.dumps(data))
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert (f"{tracks}: frame {frame}: id {track_id} is listed more than once"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("in_videos", [False, True])
+    def test_empty_ground_truth_exits_1_naming_the_file(self, workspace, capsys, in_videos):
+        tmp_path, config, _ = workspace
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        data = json.loads(config.read_text())
+        if in_videos:
+            data["videos"] = [{"name": "v", "gt": str(empty), "tracks": data["paths"]["tracks"]}]
+        else:
+            data["paths"]["gt"] = str(empty)
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        where = f"videos entry 'v': {empty}" if in_videos else f"{empty}"
+        assert (f"error: {where}: no ground-truth rows to evaluate; MOTA needs at least one"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 

@@ -308,8 +308,7 @@ class TestVocabulary:
 class TestProbVector:
     def test_accepts_normalized(self):
         p = ProbVector(values=np.array([0.25, 0.25, 0.5]))
-        assert p.argmax() == 2
-        assert p.null_index == 2
+        assert p.values.tolist() == [0.25, 0.25, 0.5]
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):

@@ -27,7 +27,6 @@ from rinktrack.ident import (
     Scorers,
     aggregate,
     aggregate_majority,
-    collapse_team_colors,
     identify,
     jersey_visible,
     run_pipeline,
@@ -627,13 +626,3 @@ class TestRunPipeline:
         with pytest.raises(ValidationError):
             run_pipeline([make_track(length=1)], scorers, None, VOCAB2, IdentParams(window=1))
 
-
-class TestCollapseTeamColors:
-    def test_default_mapping(self):
-        probs = {"blue": 0.3, "red": 0.2, "yellow": 0.1, "white": 0.25, "ref": 0.15}
-        out = collapse_team_colors(probs)
-        assert out.tolist() == pytest.approx([0.6, 0.25, 0.15])
-
-    def test_custom_mapping(self):
-        out = collapse_team_colors({"green": 0.9, "white": 0.1}, {"green": "referee"})
-        assert out.tolist() == pytest.approx([0.0, 0.1, 0.9])

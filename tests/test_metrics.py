@@ -5,14 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iou_reference import iou
 from rinktrack.core import (BoundingBox, Detection, Track, ValidationError, group_boxes_by_frame,
                             group_by_frame, tracks_to_rows)
 from rinktrack.metrics import (
     FrameMatching,
     count_idsw,
     evaluate,
+    evaluate_video,
     format_report_table,
-    idf1,
     idf1_components,
     match_frames,
     mota,
@@ -149,8 +150,6 @@ class TestCountIdsw:
 
 def brute_force_idtp(gt, pred, iou_threshold=0.5):
     """Max total co-detection frames over all injective gt->pred mappings."""
-    from rinktrack.tracker import iou
-
     overlap = {}
     gt_ids, pred_ids = set(), set()
     frames = set(gt) | set(pred)
@@ -173,10 +172,15 @@ def brute_force_idtp(gt, pred, iou_threshold=0.5):
     return best
 
 
+def video_idf1(gt, pred):
+    """IDF1 as eval reports it for one video."""
+    return evaluate_video("video", gt, pred)[0].idf1
+
+
 class TestIdf1:
     def test_perfect_tracking(self):
         gt = _frames(*[(f, 1, _box(3 * f)) for f in range(20)])
-        assert idf1(gt, gt) == 1.0
+        assert video_idf1(gt, gt) == 1.0
 
     def test_track_split_in_half_scores_half(self):
         # One GT identity covered half by pred 1, half by pred 2:
@@ -184,13 +188,13 @@ class TestIdf1:
         T = 40
         gt = _frames(*[(f, 1, _box(2 * f)) for f in range(T)])
         pred = _frames(*[(f, 1 if f < T // 2 else 2, _box(2 * f)) for f in range(T)])
-        assert idf1(gt, pred) == pytest.approx(0.5)
+        assert video_idf1(gt, pred) == pytest.approx(0.5)
         idtp, total_gt, total_pred = idf1_components(gt, pred)
         assert (idtp, total_gt, total_pred) == (T // 2, T, T)
 
     def test_no_predictions(self):
         gt = _frames((0, 1, BOX))
-        assert idf1(gt, {}) == 0.0
+        assert video_idf1(gt, {}) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
@@ -211,7 +215,7 @@ class TestIdf1:
         gt, pred = _frames(*items_gt), _frames(*items_pred)
         idtp, total_gt, total_pred = idf1_components(gt, pred)
         assert idtp == brute_force_idtp(gt, pred)
-        assert idf1(gt, pred) == pytest.approx(2 * idtp / (total_gt + total_pred))
+        assert video_idf1(gt, pred) == pytest.approx(2 * idtp / (total_gt + total_pred))
 
 
 def _track_with_gaps(track_id, gaps):
@@ -305,8 +309,6 @@ def reference_clear(gt, pred, iou_threshold=0.5):
     threshold are dropped. Returns {frame: (matches, unmatched gt, unmatched
     pred)} with the matches sorted.
     """
-    from rinktrack.tracker import iou
-
     prev = {}
     out = {}
     for f in sorted(set(gt) | set(pred)):

@@ -2,16 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iou_reference import iou
 from rinktrack.core import BoundingBox, Detection, ValidationError
 from rinktrack.tracker import (
     KalmanTrackState,
     SortTracker,
     TrackerParams,
+    box_corners,
     hungarian,
-    iou,
+    iou_corners,
     iou_matrix,
     kf_initiate,
     kf_predict,
@@ -31,20 +33,48 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
                for p in itertools.permutations(range(m), n))
 
 
+def corner_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """IoU of one pair through the pipeline's kernel."""
+    return float(iou_corners(box_corners([a]), box_corners([b]))[0, 0])
+
+
+finite_boxes = st.builds(BoundingBox,
+                         st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                         st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+
+
 class TestIoU:
     def test_identical_boxes(self):
         box = BoundingBox(3, 4, 10, 12)
-        assert iou(box, box) == 1.0
+        assert corner_iou(box, box) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 5, 5), BoundingBox(100, 100, 5, 5)) == 0.0
+        assert corner_iou(BoundingBox(0, 0, 5, 5), BoundingBox(100, 100, 5, 5)) == 0.0
 
     def test_known_overlap(self):
         # overlap 1x2 = 2, union 4 + 4 - 2 = 6
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 0, 2, 2)
-        assert iou(a, b) == pytest.approx(2 / 6)
-        assert iou(b, a) == pytest.approx(iou(a, b))
+        assert corner_iou(a, b) == pytest.approx(2 / 6)
+        assert corner_iou(b, a) == corner_iou(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite_boxes, min_size=1, max_size=5),
+           st.lists(finite_boxes, min_size=1, max_size=5))
+    @example([BoundingBox(1.5, 2.5, 7.25, 3.0)], [BoundingBox(1.5, 2.5, 7.25, 3.0)])  # identical
+    @example([BoundingBox(0, 0, 4, 4)], [BoundingBox(4, 0, 4, 4)])  # touching edges
+    @example([BoundingBox(0, 0, 4, 4)], [BoundingBox(4, 4, 4, 4)])  # touching corners
+    @example([BoundingBox(0, 0, 4, 4)], [BoundingBox(0, 9, 4, 4)])  # disjoint
+    def test_kernel_matches_scalar(self, boxes_a, boxes_b):
+        mat = iou_corners(box_corners(boxes_a), box_corners(boxes_b))
+        assert mat.shape == (len(boxes_a), len(boxes_b))
+        for i, a in enumerate(boxes_a):
+            for j, b in enumerate(boxes_b):
+                expected = iou(a, b)
+                if expected == 0.0:  # disjoint or touching: the same comparisons, exactly 0
+                    assert mat[i, j] == 0.0
+                else:
+                    assert mat[i, j] == pytest.approx(expected, rel=1e-6)
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(1)

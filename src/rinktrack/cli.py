@@ -249,7 +249,12 @@ def _identify_and_report(config: RunConfig, tracks: list[core.Track],
 
 
 def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
-    tracks = core.rows_to_tracks(_tracked_rows(config.path("tracks")))
+    path = config.path("tracks")
+    rows = _tracked_rows(path)
+    tracks = core.rows_to_tracks(rows)  # raw detections (id -1) are skipped
+    if rows and not tracks:
+        raise ValidationError(f"{path}: no row has a track id (>= 0); raw detections carry -1, "
+                              f"so identify needs a tracker's output")
     vocab = core.ClassVocabulary.from_json(config.path("vocab"))
     scorers = _file_scorers(config, vocab)
     expected = None

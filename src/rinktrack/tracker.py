@@ -46,6 +46,12 @@ class TrackerParams:
                     is_number(v) and math.isfinite(v) and v >= 0 for v in value)):
                 raise ValidationError(
                     f"{name} must hold {size} finite numbers >= 0, got {value!r}")
+        # Keeps the innovation covariance H P H^T + R positive definite after every predict.
+        if not all(q + r > 0 for q, r in zip(self.process_noise, self.measurement_noise)):
+            raise ValidationError(
+                f"process_noise and measurement_noise must not both be 0 on a measured "
+                f"component [cx, cy, area, aspect], got {tuple(self.process_noise[:4])!r} "
+                f"and {tuple(self.measurement_noise)!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrackerParams":
@@ -145,12 +151,7 @@ _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
 _H = np.zeros((4, 7))
 _H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-
-
-@dataclass
-class KalmanTrackState:
-    mean: np.ndarray
-    covariance: np.ndarray
+_I = np.eye(7)
 
 
 def box_to_measurement(box: BoundingBox) -> np.ndarray:
@@ -158,8 +159,8 @@ def box_to_measurement(box: BoundingBox) -> np.ndarray:
     return np.array([cx, cy, box.area, box.w / box.h])
 
 
-def state_to_box(state: KalmanTrackState) -> BoundingBox:
-    cx, cy, s, r = state.mean[:4]
+def state_to_box(mean: np.ndarray) -> BoundingBox:
+    cx, cy, s, r = mean[:4]
     s = max(float(s), 1.0)
     r = max(float(r), 1e-6)
     w = (s * r) ** 0.5
@@ -171,30 +172,28 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.T) / 2.0
 
 
-def kf_initiate(box: BoundingBox, params: TrackerParams) -> KalmanTrackState:
+def kf_initiate(box: BoundingBox, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = np.zeros(7)
     mean[:4] = box_to_measurement(box)
-    return KalmanTrackState(mean=mean, covariance=np.diag(params.initial_covariance).astype(float))
+    return mean, p0
 
 
-def kf_predict(state: KalmanTrackState, params: TrackerParams) -> KalmanTrackState:
-    """Advance one frame under constant velocity and grow the covariance."""
-    mean = _F @ state.mean
+def kf_predict(mean: np.ndarray, cov: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one frame under constant velocity and grow the covariance by ``q``."""
+    mean = _F @ mean
     mean[2] = max(mean[2], 1.0)  # area kept positive so the box stays valid
-    cov = _symmetrize(_F @ state.covariance @ _F.T + np.diag(params.process_noise))
-    return KalmanTrackState(mean=mean, covariance=cov)
+    return mean, _symmetrize(_F @ cov @ _F.T + q)
 
 
-def kf_update(state: KalmanTrackState, box: BoundingBox, params: TrackerParams) -> KalmanTrackState:
+def kf_update(mean: np.ndarray, cov: np.ndarray, box: BoundingBox,
+              r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = box_to_measurement(box)
-    r = np.diag(params.measurement_noise).astype(float)
-    s = _H @ state.covariance @ _H.T + r
-    gain = np.linalg.solve(s.T, (_H @ state.covariance.T)).T
-    innovation = z - _H @ state.mean
-    mean = state.mean + gain @ innovation
+    s = _H @ cov @ _H.T + r
+    gain = np.linalg.solve(s.T, (_H @ cov.T)).T
+    innovation = z - _H @ mean
+    mean = mean + gain @ innovation
     mean[2] = max(mean[2], 1.0)
-    cov = _symmetrize((np.eye(7) - gain @ _H) @ state.covariance)
-    return KalmanTrackState(mean=mean, covariance=cov)
+    return mean, _symmetrize((_I - gain @ _H) @ cov)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,8 @@ def kf_update(state: KalmanTrackState, box: BoundingBox, params: TrackerParams) 
 @dataclass
 class _LiveTrack:
     track_id: int
-    state: KalmanTrackState
+    mean: np.ndarray
+    cov: np.ndarray
     hit_streak: int = 1
     time_since_update: int = 0
     recorded: list[tuple[int, Detection]] = field(default_factory=list)
@@ -215,7 +215,11 @@ class SortTracker:
     """Stateful per-video tracker; feed frames in increasing order."""
 
     def __init__(self, params: TrackerParams | None = None):
-        self.params = params or TrackerParams()
+        params = self.params = params or TrackerParams()
+        # Built once; no filter call writes a covariance in place, so new tracks share _p0.
+        self._p0, self._q, self._r = (np.diag(np.array(d, dtype=float)) for d in (
+            params.initial_covariance, params.process_noise, params.measurement_noise))
+        self._p0.flags.writeable = False
         self._live: list[_LiveTrack] = []
         self._finished: list[_LiveTrack] = []
         self._next_id = 1
@@ -232,12 +236,12 @@ class SortTracker:
         detections = [d for d in detections if d.confidence >= params.confidence_threshold]
 
         for trk in self._live:
-            trk.state = kf_predict(trk.state, params)
+            trk.mean, trk.cov = kf_predict(trk.mean, trk.cov, self._q)
 
         matches: list[tuple[int, int]] = []
         unmatched_dets = set(range(len(detections)))
         if self._live and detections:
-            predicted = [state_to_box(trk.state) for trk in self._live]
+            predicted = [state_to_box(trk.mean) for trk in self._live]
             overlap = iou_matrix(predicted, [d.box for d in detections])
             for ti, di in hungarian(1.0 - overlap):
                 if overlap[ti, di] >= params.iou_threshold:
@@ -248,7 +252,7 @@ class SortTracker:
         for ti, di in matches:
             trk = self._live[ti]
             det = detections[di]
-            trk.state = kf_update(trk.state, det.box, params)
+            trk.mean, trk.cov = kf_update(trk.mean, trk.cov, det.box, self._r)
             trk.hit_streak += 1
             trk.time_since_update = 0
             if trk.hit_streak >= params.min_hits or self._frames_seen <= params.min_hits:
@@ -269,7 +273,7 @@ class SortTracker:
 
         for di in sorted(unmatched_dets):
             det = detections[di]
-            trk = _LiveTrack(track_id=self._next_id, state=kf_initiate(det.box, params))
+            trk = _LiveTrack(self._next_id, *kf_initiate(det.box, self._p0))
             self._next_id += 1
             if self._frames_seen <= params.min_hits:
                 trk.recorded.append((frame, det))

@@ -137,6 +137,9 @@ class TestConfigSections:
         ("track", "tracker", {"process_noise": [1, 2]}, "process_noise must hold 7 finite numbers >= 0"),
         ("track", "tracker", {"measurement_noise": [1.0, 1.0, -10.0, 10.0]},
          "measurement_noise must hold 4 finite numbers >= 0"),
+        ("track", "tracker", {"initial_covariance": [0] * 7, "process_noise": [0] * 7,
+                              "measurement_noise": [0] * 4},
+         "process_noise and measurement_noise must not both be 0 on a measured component"),
         ("identify", "ident", {"theta": "x"}, "theta must be in (0, 1), got 'x'"),
         ("identify", "ident", {"window": 1.5}, "window must be an integer >= 1, got 1.5"),
         ("identify", "ident", {"stride": 0}, "stride must be an integer >= 1, got 0"),
@@ -323,6 +326,27 @@ class TestIdentify:
         assert (f"error: {tracks}: frame {frame}: id {track_id} is listed more than once"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_raw_detection_file_exits_1_naming_it(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        data = json.loads(config.read_text())
+        data["paths"]["tracks"] = str(bundle_dir / "det.csv")  # every id is -1
+        config.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {bundle_dir / 'det.csv'}: no row has a track id (>= 0)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_tracks_file_identifies_nothing(self, workspace, capsys):
+        tmp_path, config, _ = workspace
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        data = json.loads(config.read_text())
+        data["paths"]["tracks"] = str(empty)
+        config.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "0 tracklets identified" in capsys.readouterr().out
+        assert json.loads((tmp_path / "out" / "identities.json").read_text())["tracks"] == []
 
     def test_roster_number_outside_vocabulary_exits_1_naming_the_file(self, workspace, capsys):
         tmp_path, config, bundle_dir = workspace

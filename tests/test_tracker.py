@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from iou_reference import iou
 from rinktrack.core import BoundingBox, Detection, ValidationError
 from rinktrack.tracker import (
-    KalmanTrackState,
     SortTracker,
     TrackerParams,
     box_corners,
@@ -130,74 +130,218 @@ def oracle_predict(mean, cov, q_diag):
     return np.array(new_mean), np.array(new_cov)
 
 
+# Reference filter: one state object per call, and the noise matrices
+# built from the parameters on every call. The array form must reproduce
+# it bit for bit.
+_REF_F = np.eye(7)
+_REF_F[0, 4] = _REF_F[1, 5] = _REF_F[2, 6] = 1.0
+_REF_H = np.zeros((4, 7))
+_REF_H[0, 0] = _REF_H[1, 1] = _REF_H[2, 2] = _REF_H[3, 3] = 1.0
+
+
+@dataclass
+class KalmanTrackState:
+    mean: np.ndarray
+    covariance: np.ndarray
+
+
+def ref_measurement(box):
+    cx, cy = box.center
+    return np.array([cx, cy, box.area, box.w / box.h])
+
+
+def ref_state_to_box(state):
+    cx, cy, s, r = state.mean[:4]
+    s = max(float(s), 1.0)
+    r = max(float(r), 1e-6)
+    w = (s * r) ** 0.5
+    h = s / w
+    return BoundingBox(x=cx - w / 2.0, y=cy - h / 2.0, w=w, h=h)
+
+
+def ref_symmetrize(p):
+    return (p + p.T) / 2.0
+
+
+def ref_initiate(box, params):
+    mean = np.zeros(7)
+    mean[:4] = ref_measurement(box)
+    return KalmanTrackState(mean=mean, covariance=np.diag(params.initial_covariance).astype(float))
+
+
+def ref_predict(state, params):
+    mean = _REF_F @ state.mean
+    mean[2] = max(mean[2], 1.0)
+    cov = ref_symmetrize(_REF_F @ state.covariance @ _REF_F.T + np.diag(params.process_noise))
+    return KalmanTrackState(mean=mean, covariance=cov)
+
+
+def ref_update(state, box, params):
+    z = ref_measurement(box)
+    r = np.diag(params.measurement_noise).astype(float)
+    s = _REF_H @ state.covariance @ _REF_H.T + r
+    gain = np.linalg.solve(s.T, (_REF_H @ state.covariance.T)).T
+    innovation = z - _REF_H @ state.mean
+    mean = state.mean + gain @ innovation
+    mean[2] = max(mean[2], 1.0)
+    cov = ref_symmetrize((np.eye(7) - gain @ _REF_H) @ state.covariance)
+    return KalmanTrackState(mean=mean, covariance=cov)
+
+
+def noise_matrices(params):
+    """The initial covariance, process noise and measurement noise a tracker builds."""
+    tracker = SortTracker(params)
+    return tracker._p0, tracker._q, tracker._r
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def box_bits(box):
+    return np.array([box.x, box.y, box.w, box.h]).tobytes()
+
+
+@st.composite
+def allowed_noise(draw):
+    """Noise diagonals, zeros included, that keep every measured component's q + r above 0."""
+    diagonal = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+    p0 = draw(st.lists(diagonal, min_size=7, max_size=7))
+    q = draw(st.lists(diagonal, min_size=7, max_size=7))
+    r = draw(st.lists(diagonal, min_size=4, max_size=4))
+    for i in range(4):
+        if q[i] + r[i] == 0.0:
+            q[i] = draw(st.floats(1e-3, 1e4))
+    return TrackerParams(initial_covariance=tuple(p0), process_noise=tuple(q),
+                         measurement_noise=tuple(r))
+
+
+track_boxes = st.builds(BoundingBox,
+                        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                        st.floats(1.0, 500.0), st.floats(1.0, 500.0))
+
+
 class TestKalman:
     def test_constant_velocity_advance(self):
-        params = TrackerParams(process_noise=(0,) * 7)
-        state = KalmanTrackState(mean=np.array([10.0, 10, 100, 1, 2, 0, 0]),
-                                 covariance=np.eye(7))
-        out = kf_predict(state, params)
-        assert out.mean.tolist() == [12, 10, 100, 1, 2, 0, 0]
+        _, q, _ = noise_matrices(TrackerParams(process_noise=(0,) * 7))
+        mean, _ = kf_predict(np.array([10.0, 10, 100, 1, 2, 0, 0]), np.eye(7), q)
+        assert mean.tolist() == [12, 10, 100, 1, 2, 0, 0]
 
     def test_stationary_state_unchanged(self):
-        params = TrackerParams(process_noise=(0,) * 7)
-        state = KalmanTrackState(mean=np.array([50.0, 60, 200, 0.5, 0, 0, 0]),
-                                 covariance=np.eye(7))
-        assert kf_predict(state, params).mean.tolist() == state.mean.tolist()
+        _, q, _ = noise_matrices(TrackerParams(process_noise=(0,) * 7))
+        mean = np.array([50.0, 60, 200, 0.5, 0, 0, 0])
+        assert kf_predict(mean, np.eye(7), q)[0].tolist() == mean.tolist()
 
     def test_predict_matches_matrix_oracle_on_random_psd(self):
         rng = np.random.default_rng(42)
         params = TrackerParams()
+        _, q, _ = noise_matrices(params)
         for _ in range(50):
             a = rng.normal(size=(7, 7))
             cov = a @ a.T
             mean = rng.uniform(5, 100, size=7)
             mean[2] = abs(mean[2]) + 10
-            state = KalmanTrackState(mean=mean.copy(), covariance=cov.copy())
-            out = kf_predict(state, params)
+            out_mean, out_cov = kf_predict(mean.copy(), cov.copy(), q)
             want_mean, want_cov = oracle_predict(mean, cov, params.process_noise)
             want_cov = (want_cov + want_cov.T) / 2
-            assert np.allclose(out.mean, want_mean)
-            assert np.allclose(out.covariance, want_cov)
-            assert np.allclose(out.covariance, out.covariance.T, atol=1e-9)
+            assert np.allclose(out_mean, want_mean)
+            assert np.allclose(out_cov, want_cov)
+            assert np.allclose(out_cov, out_cov.T, atol=1e-9)
 
     def test_trace_nondecreasing_on_filter_reachable_covariances(self):
         # Checked on covariances the filter can actually reach; arbitrary
         # PSD matrices with strong negative position-velocity correlation
         # can shrink the trace, but predict/update cycles never produce them.
         rng = np.random.default_rng(7)
-        params = TrackerParams()
-        state = kf_initiate(BoundingBox(10, 10, 20, 40), params)
+        p0, q, r = noise_matrices(TrackerParams())
+        mean, cov = kf_initiate(BoundingBox(10, 10, 20, 40), p0)
         for _ in range(200):
-            before = np.trace(state.covariance)
-            state = kf_predict(state, params)
-            assert np.trace(state.covariance) >= before - 1e-9
+            before = np.trace(cov)
+            mean, cov = kf_predict(mean, cov, q)
+            assert np.trace(cov) >= before - 1e-9
             box = BoundingBox(*rng.uniform(0, 200, 2), *rng.uniform(5, 60, 2))
-            state = kf_update(state, box, params)
+            mean, cov = kf_update(mean, cov, box, r)
 
     def test_area_clamped_positive(self):
-        params = TrackerParams(process_noise=(0,) * 7)
-        state = KalmanTrackState(mean=np.array([10.0, 10, 2, 1, 0, 0, -50]),
-                                 covariance=np.eye(7))
-        out = kf_predict(state, params)
-        assert out.mean[2] >= 1.0
-        state_to_box(out)  # still a valid box
+        _, q, _ = noise_matrices(TrackerParams(process_noise=(0,) * 7))
+        mean, _ = kf_predict(np.array([10.0, 10, 2, 1, 0, 0, -50]), np.eye(7), q)
+        assert mean[2] >= 1.0
+        state_to_box(mean)  # still a valid box
 
     def test_noise_free_constant_velocity_converges(self):
         # Zero measurement noise tells the filter the boxes are exact, so
         # position and velocity lock on within a few updates.
-        params = TrackerParams(measurement_noise=(0.0, 0.0, 0.0, 0.0))
+        p0, q, r = noise_matrices(TrackerParams(measurement_noise=(0.0, 0.0, 0.0, 0.0)))
         w, h = 20.0, 40.0
-        state = None
+        mean = cov = None
         for t in range(12):
             cx, cy = 100.0 + 3.0 * t, 50.0 + 1.5 * t
             box = BoundingBox(cx - w / 2, cy - h / 2, w, h)
-            if state is None:
-                state = kf_initiate(box, params)
+            if mean is None:
+                mean, cov = kf_initiate(box, p0)
             else:
-                state = kf_update(kf_predict(state, params), box, params)
+                mean, cov = kf_update(*kf_predict(mean, cov, q), box, r)
             if t >= 5:
-                assert state.mean[0] == pytest.approx(cx, abs=1e-6)
-                assert state.mean[1] == pytest.approx(cy, abs=1e-6)
+                assert mean[0] == pytest.approx(cx, abs=1e-6)
+                assert mean[1] == pytest.approx(cy, abs=1e-6)
+
+    def test_new_tracks_share_one_read_only_initial_covariance(self):
+        p0, _, _ = noise_matrices(TrackerParams())
+        _, a = kf_initiate(BoundingBox(0, 0, 5, 5), p0)
+        _, b = kf_initiate(BoundingBox(9, 9, 5, 5), p0)
+        assert a is p0 and b is p0
+        with pytest.raises(ValueError):
+            p0[0, 0] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(allowed_noise(), track_boxes,
+           st.lists(st.one_of(st.none(), track_boxes), min_size=1, max_size=25))
+    @example(TrackerParams(initial_covariance=(0.0,) * 7, process_noise=(1.0,) * 4 + (0.0,) * 3,
+                           measurement_noise=(0.0,) * 4),
+             BoundingBox(5.0, 5.0, 10.0, 20.0), [None, BoundingBox(7.0, 5.0, 10.0, 20.0)])
+    @example(TrackerParams(initial_covariance=(0.0,) * 7, process_noise=(0.0,) * 7),
+             BoundingBox(5.0, 5.0, 10.0, 20.0), [BoundingBox(7.0, 5.0, 10.0, 20.0), None])
+    def test_array_form_matches_per_call_reference_bit_for_bit(self, params, first, frames):
+        # Each frame predicts, then updates when it has a box, as the tracker does.
+        p0, q, r = noise_matrices(params)
+        state = ref_initiate(first, params)
+        mean, cov = kf_initiate(first, p0)
+
+        def assert_same():
+            assert same_bits(mean, state.mean)
+            assert same_bits(cov, state.covariance)
+            assert box_bits(state_to_box(mean)) == box_bits(ref_state_to_box(state))
+
+        assert_same()
+        for box in frames:
+            state = ref_predict(state, params)
+            mean, cov = kf_predict(mean, cov, q)
+            if box is not None:
+                state = ref_update(state, box, params)
+                mean, cov = kf_update(mean, cov, box, r)
+            assert_same()
+
+
+class TestTrackerParams:
+    @pytest.mark.parametrize("fields", [
+        {"initial_covariance": (0.0,) * 7, "process_noise": (0.0,) * 7,
+         "measurement_noise": (0.0,) * 4},
+        {"process_noise": (1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+         "measurement_noise": (1.0, 1.0, 0.0, 1.0)},
+    ])
+    def test_noise_that_leaves_a_measured_component_without_variance_rejected(self, fields):
+        with pytest.raises(ValidationError, match="process_noise and measurement_noise must "
+                                                  "not both be 0 on a measured component"):
+            TrackerParams(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"measurement_noise": (0.0,) * 4},
+        {"process_noise": (0.0,) * 7},
+        {"initial_covariance": (0.0,) * 7, "process_noise": (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+         "measurement_noise": (0.0, 1.0, 0.0, 1.0)},
+    ])
+    def test_noise_with_variance_on_every_measured_component_accepted(self, fields):
+        TrackerParams(**fields)
 
 
 def _moving_object(start_x, y, frames, w=10.0, h=10.0, dx=5.0, start=0):

@@ -131,9 +131,19 @@ def _generate_or_config_error(scenario: sim.ScenarioConfig, seed: int) -> sim.Gr
         raise ConfigError(f"infeasible scenario: {exc}") from None
 
 
+def _check_window(config: RunConfig) -> None:
+    """A bundle's window scores cover identify's windows only when both use one shape."""
+    scenario, ident = config.scenario, config.ident
+    if (scenario.window, scenario.stride) != (ident.window, ident.stride):
+        raise ConfigError(f"scenario.window/stride {scenario.window}/{scenario.stride} differ "
+                          f"from ident.window/stride {ident.window}/{ident.stride}; the bundle's "
+                          f"window scores must cover the windows identify scores")
+
+
 def cmd_simulate(config: RunConfig, seed: int, out_dir: Path) -> int:
     if config.scenario is None:
         raise ConfigError("simulate requires a scenario section in the config")
+    _check_window(config)
     bundle = _generate_or_config_error(config.scenario, seed)
     manifest = bundle.write(out_dir)
     print(f"bundle written to {out_dir} (seed {seed})")
@@ -260,7 +270,12 @@ def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: s
     expected = None
     truth_path = config.path("truth", required=False)
     if truth_path is not None:
-        expected = {tid: t.expected_class(vocab) for tid, t in _load_truth(truth_path).items()}
+        expected = {}
+        for tid, t in _load_truth(truth_path).items():
+            try:
+                expected[tid] = t.expected_class(vocab)
+            except ValidationError as exc:
+                raise ValidationError(f"{truth_path}: track {tid}: {exc}") from None
     accuracy = _identify_and_report(config, tracks, vocab, scorers, expected, out_dir,
                                     mask_rosters, method)
     print(f"{len(tracks)} tracklets identified -> {out_dir / 'identities.json'}")
@@ -410,6 +425,7 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
         if stale:
             raise ConfigError(f"pipeline simulates its inputs, so it cannot also read "
                               f"{', '.join(stale)}; remove them or set paths.detections")
+        _check_window(config)
         bundle = _generate_or_config_error(config.scenario, seed)
         paths.update(bundle.write(out_dir / "bundle")["files"])
     paths["tracks"] = str(out_dir / "tracks.csv")
@@ -437,6 +453,17 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rinktrack",
                                      description="Track, identify, and evaluate rink players.")
@@ -446,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if ident_flags:
             p.add_argument("--no-roster", action="store_true",
                            help="skip roster masking entirely")

@@ -222,7 +222,9 @@ class GroundTruthBundle:
         # Per-frame id/corner arrays, built on the first lookup so runs that
         # never match boxes never pay for them.
         self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-        self._owned: _Ownership | None = None
+        # Each detection's (owner, number shown), matched on its first lookup.
+        # Keys are values, so equal detections of any tracklet share an entry.
+        self._owners: dict[Detection, tuple[int | None, bool]] = {}
 
     def _index_frames(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Each frame's ground-truth ids and corners, its rows in ``gt_tracks`` order."""
@@ -258,20 +260,31 @@ class GroundTruthBundle:
         best = int(np.argmax(overlap))
         return int(ids[best]) if overlap[best] >= min_iou else None
 
-    def _ownership(self, track: Track) -> "_Ownership":
-        """Owners and number-visible flags of ``track``'s detections.
+    def _owner(self, det: Detection) -> tuple[int | None, bool]:
+        """``det``'s ``match_gt`` owner and whether its number shows for that owner."""
+        entry = self._owners.get(det)
+        if entry is None:
+            owner = self.match_gt(det.frame, det.box)
+            shown = owner is not None and det.frame in self.visible_frames.get(owner, ())
+            entry = self._owners[det] = (owner, shown)
+        return entry
 
-        Only the most recent tracklet is kept: every caller scores one
-        tracklet at a time, so its frames and windows share one match.
-        """
-        if self._owned is None or self._owned.track is not track:
-            self._owned = _Ownership(self, track)
-        return self._owned
+    def _majority(self, dets: Sequence[Detection]) -> tuple[int | None, int]:
+        """The id owning the most of ``dets`` (ties go to the smaller id; None when
+        none is owned) and how many of them show their own owner's number."""
+        counts: dict[int, int] = {}
+        visible = 0
+        for det in dets:
+            owner, shown = self._owner(det)
+            if owner is not None:
+                counts[owner] = counts.get(owner, 0) + 1
+            visible += shown
+        return min(counts, key=lambda o: (-counts[o], o), default=None), visible
 
     def expected_class(self, track: Track) -> int | None:
         """Expected identification output for a tracklet (class index or referee sentinel),
         from its majority ground-truth owner; None when no ground truth owns it."""
-        gt_id = self._ownership(track).owner(0, len(track))
+        gt_id, _ = self._majority(track.detections)
         return None if gt_id is None else self.truth[gt_id].expected_class(self.vocab)
 
     # -- oracle scorers -------------------------------------------------------
@@ -347,33 +360,6 @@ def _spread_remainder(probs: np.ndarray, exclude_null: bool) -> np.ndarray:
     return probs / probs.sum()
 
 
-class _Ownership:
-    """One tracklet's ground-truth owners, matched once, and prefix sums for its windows.
-
-    ``owners[i]`` is detection ``i``'s ``match_gt`` owner (None when
-    unmatched); ``visible[i]`` says whether its number shows, judged by
-    that detection's own owner. ``counts[j, i]`` is how many of the first
-    ``i`` detections ``ids[j]`` owns; ``visible_counts[i]`` counts flags.
-    """
-
-    def __init__(self, bundle: GroundTruthBundle, track: Track):
-        self.track = track
-        self.owners = [bundle.match_gt(d.frame, d.box) for d in track.detections]
-        self.visible = [o is not None and d.frame in bundle.visible_frames.get(o, ())
-                        for o, d in zip(self.owners, track.detections)]
-        self.ids = sorted({o for o in self.owners if o is not None})
-        self.counts = np.cumsum([[0, *(o == tid for o in self.owners)] for tid in self.ids], axis=-1)
-        self.visible_counts = np.cumsum([0, *self.visible])
-
-    def owner(self, start: int, end: int) -> int | None:
-        """The id owning the most of detections ``start:end``; ties go to the smaller id."""
-        if not self.ids:
-            return None
-        in_window = self.counts[:, end] - self.counts[:, start]
-        best = int(np.argmax(in_window))
-        return self.ids[best] if in_window[best] > 0 else None
-
-
 class OracleFrameScorer:
     """Image-classifier stand-in: low null mass exactly on number-visible frames."""
 
@@ -382,15 +368,15 @@ class OracleFrameScorer:
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
         bundle = self.bundle
-        owned = bundle._ownership(track)
-        gt_id = owned.owners[index]
+        det = track.detections[index]
+        gt_id, shown = bundle._owner(det)
         probs = np.zeros(bundle.vocab.num_classes)
         if gt_id is None:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
-        rng = bundle._rng(_FRAME, gt_id, track.detections[index].frame)
+        rng = bundle._rng(_FRAME, gt_id, det.frame)
         # Each uniform(a, b) is spelled a + (b - a) * random(): the same value.
-        if owned.visible[index]:
+        if shown:
             # Mostly below the default gate (0.01) but occasionally above
             # it, so threshold sweeps see false negatives at tiny values.
             null_mass = 0.003 + (0.012 - 0.003) * rng.random()
@@ -409,12 +395,12 @@ class OracleTeamScorer:
 
     def score_frame(self, track: Track, index: int) -> np.ndarray:
         bundle = self.bundle
-        gt_id = bundle._ownership(track).owners[index]
+        det = track.detections[index]
+        gt_id, _ = bundle._owner(det)
         chosen = 0 if gt_id is None else _TEAM_SLOT[bundle.truth[gt_id].team]
         noise = bundle.config.team_noise
         if noise > 0:
-            rng = bundle._rng(_TEAM, gt_id if gt_id is not None else -1,
-                              track.detections[index].frame)
+            rng = bundle._rng(_TEAM, gt_id if gt_id is not None else -1, det.frame)
             if rng.random() < noise:
                 chosen = int(rng.choice([c for c in range(3) if c != chosen]))
         probs = np.full(3, 0.05)
@@ -439,15 +425,14 @@ class OracleWindowScorer:
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
         bundle = self.bundle
         vocab = bundle.vocab
-        owned = bundle._ownership(track)
-        end = min(start + length, len(track))
-        gt_id = owned.owner(start, end)
+        dets = track.detections[start:start + length]
+        gt_id, visible = bundle._majority(dets)
         probs = np.zeros(vocab.num_classes)
         if gt_id is None:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         truth = bundle.truth[gt_id]
-        vis_frac = int(owned.visible_counts[end] - owned.visible_counts[start]) / (end - start)
+        vis_frac = visible / len(dets)
 
         if truth.team == "referee" or truth.jersey is None or vis_frac == 0.0:
             probs[-1] = 0.85
@@ -455,7 +440,7 @@ class OracleWindowScorer:
 
         true_class = vocab.index_of(truth.jersey)
         spec = bundle.config.confusion.get(truth.jersey)
-        first_frame = track.detections[start].frame
+        first_frame = dets[0].frame
         if spec is not None and bundle._rng(_WINDOW, gt_id, first_frame).random() < spec.prob:
             probs[vocab.index_of(spec.substitute)] = 0.45 + 0.20 * spec.strength
             probs[true_class] = 0.40 - 0.30 * spec.strength
@@ -588,6 +573,7 @@ def _pick_rosters(config: ScenarioConfig, vocab: ClassVocabulary,
 
 def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     """Build a fully ground-truthed scenario; deterministic given (config, seed)."""
+    check_int("seed", seed, 0)
     # A scene is up to ~200k objects (boxes, detections, tuples) that form no
     # cycles. Pausing the cyclic collector spares it re-walking them while
     # they are built; reference counting still frees every temporary.

@@ -87,6 +87,26 @@ class TestSimulate:
         config = write_config(tmp_path / "config.json", scenario=scenario)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "config.json")
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--config", str(config), "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("ident, shapes", [
+        ({"window": 30}, "scenario.window/stride 8/1 differ from ident.window/stride 30/1"),
+        ({"window": 8, "stride": 2}, "scenario.window/stride 8/1 differ from ident.window/stride 8/2"),
+    ])
+    def test_window_shape_other_than_identify_exits_2_naming_both(self, tmp_path, capsys, command,
+                                                                  ident, shapes):
+        config = write_config(tmp_path / "config.json", ident=ident)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert shapes in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value, message", [
         ("num_referees", -2, "num_referees must be an integer >= 0, got -2"),
@@ -355,6 +375,17 @@ class TestIdentify:
         rosters.write_text(json.dumps({"home": data["home"] + [999], "away": data["away"]}))
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert (f"error: {rosters}: roster numbers not in vocabulary: [999]"
+                in capsys.readouterr().err)
+
+    def test_truth_jersey_outside_vocabulary_exits_1_naming_the_file(self, workspace, capsys):
+        tmp_path, config, bundle_dir = workspace
+        truth = bundle_dir / "truth.json"
+        data = json.loads(truth.read_text())
+        tid = next(t for t, row in data["tracks"].items() if row["jersey"] is not None)
+        data["tracks"][tid]["jersey"] = 99
+        truth.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {truth}: track {tid}: jersey number 99 not in vocabulary"
                 in capsys.readouterr().err)
 
     def test_one_identification_pass(self, workspace, monkeypatch):

@@ -16,7 +16,11 @@ from rinktrack.core import (
     ProbVector,
     Track,
     ValidationError,
+    group_by_frame,
     parse_detection_file,
+    rows_to_tracks,
+    save_detection_file,
+    tracks_to_rows,
 )
 from rinktrack.ident import (
     FileFrameScorer,
@@ -38,6 +42,7 @@ from rinktrack.sim import (
     oracle_scorers,
 )
 from rinktrack.core import build_roster_vector
+from rinktrack.tracker import TrackerParams, track
 
 SMALL_VOCAB = tuple(range(1, 13))
 # Traced bytes a generated bundle holds per box row (ground truth plus
@@ -204,6 +209,11 @@ class TestGenerate:
         assert bundle.detections == []
         bundle.write(tmp_path)
         assert parse_detection_file(tmp_path / "det.csv") == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            generate(small_config(), seed=seed)
 
     def test_roster_smaller_than_team_is_error(self):
         with pytest.raises(ValidationError, match="roster"):
@@ -720,3 +730,50 @@ class TestOracleScorers:
         ws = oracle_scorers(bundle).window
         probs = ws.score_window(trk, 0, min(8, len(trk)))
         assert int(np.argmax(probs)) == bundle.vocab.index_of(8)
+
+
+class TestOwnersMatchedOncePerScene:
+    """Each detection's owner is matched once per bundle, however often it is scored."""
+
+    @staticmethod
+    def identify(bundle, tracklets):
+        scorers = oracle_scorers(bundle)
+        rosters = Rosters(home=build_roster_vector(bundle.home_roster, bundle.vocab),
+                          away=build_roster_vector(bundle.away_roster, bundle.vocab))
+        params = IdentParams(window=bundle.config.window, stride=bundle.config.stride)
+        runs = [run_pipeline(tracklets, scorers, rosters, bundle.vocab, params, mask_rosters=mask)
+                for mask in (False, True)]
+        return ([(r.track_id, r.team, r.identity, r.identity_unmasked, r.p_jn.values.tobytes())
+                 for results in runs for r in results],
+                [bundle.expected_class(trk) for trk in tracklets])
+
+    def test_two_passes_and_expected_class_match_each_detection_once(self, tmp_path, monkeypatch):
+        config = small_config(layout="free", duration=120, speed_range=(1.0, 4.0),
+                              jitter_sigma=1.5, fp_rate=0.4, fn_rate=0.05,
+                              visibility_profile=0.5, null_tracklet_rate=0.3, stride=2)
+        bundle = generate(config, seed=12)
+        tracklets = track(group_by_frame(bundle.detections), TrackerParams(min_hits=1))
+        calls = []
+        real = GroundTruthBundle.match_gt
+        monkeypatch.setattr(GroundTruthBundle, "match_gt", lambda self, frame, box, *rest: (
+            calls.append((frame, box)) or real(self, frame, box, *rest)))
+
+        scored = self.identify(bundle, tracklets)
+        distinct = {d for trk in tracklets for d in trk.detections}
+        assert len(calls) == len(distinct)
+        assert self.identify(bundle, tracklets) == scored
+        assert len(calls) == len(distinct)  # a repeated sweep matches nothing again
+
+        # Tracklets re-read from their own tracks.csv are equal values: they
+        # score bit for bit alike and find every owner already matched.
+        path = tmp_path / "tracks.csv"
+        save_detection_file(tracks_to_rows(tracklets), path)
+        reparsed = rows_to_tracks(parse_detection_file(path))
+        assert {t.track_id: t for t in reparsed} == {t.track_id: t for t in tracklets}
+        by_id = {t.track_id: t for t in reparsed}
+        assert self.identify(bundle, [by_id[t.track_id] for t in tracklets]) == scored
+        assert len(calls) == len(distinct)
+
+        # The scene exercised both outcomes: matched boxes and unmatched false positives.
+        owners = {real(bundle, d.frame, d.box) for d in distinct}
+        assert None in owners and len(owners) > 2

@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rinktrack import core, metrics
+from rinktrack import cli, core, metrics
 from rinktrack.ident import IdentParams, Rosters, run_pipeline
 from rinktrack.sim import ConfusionSpec, ScenarioConfig, generate, oracle_scorers
 from rinktrack.tracker import TrackerParams, track
@@ -46,7 +46,7 @@ def build_config() -> ScenarioConfig:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=cli._seed, default=0)
     parser.add_argument("--out", default=None, help="optionally write the bundle here")
     args = parser.parse_args()
 

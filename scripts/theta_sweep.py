@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from rinktrack import cli
 from rinktrack.ident import jersey_visible
 from rinktrack.sim import ScenarioConfig, generate, oracle_scorers
 
@@ -21,7 +22,7 @@ THETAS = (0.0033, 0.01, 0.03, 0.09, 0.27, 0.81)
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=cli._seed, default=0)
     parser.add_argument("--scenarios", type=int, default=10)
     args = parser.parse_args()
     if args.scenarios < 1:

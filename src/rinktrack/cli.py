@@ -100,15 +100,15 @@ def load_config(path: str | Path) -> RunConfig:
         except (TypeError, ValidationError) as exc:
             raise ConfigError(f"{p}: {name}: {exc}") from None
 
-    try:
-        paths, videos = dict(data.get("paths", {})), list(data.get("videos", []))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{p}: {exc}") from None
+    paths = data.get("paths", {})
+    if not isinstance(paths, dict):
+        raise ConfigError(f"{p}: paths must be a JSON object, got {paths!r}")
     for name, value in paths.items():
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{p}: paths.{name} must be a path, got {value!r}")
-    if not all(isinstance(entry, dict) for entry in videos):
-        raise ConfigError(f"{p}: videos must be a list of objects, got {data['videos']!r}")
+    videos = data.get("videos", [])
+    if not isinstance(videos, list) or not all(isinstance(entry, dict) for entry in videos):
+        raise ConfigError(f"{p}: videos must be a list of objects, got {videos!r}")
     return RunConfig(
         paths=paths,
         videos=videos,
@@ -124,13 +124,6 @@ def load_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _generate_or_config_error(scenario: sim.ScenarioConfig, seed: int) -> sim.GroundTruthBundle:
-    try:
-        return sim.generate(scenario, seed)
-    except ValidationError as exc:  # infeasible scenario is a config problem
-        raise ConfigError(f"infeasible scenario: {exc}") from None
-
-
 def _check_window(config: RunConfig) -> None:
     """A bundle's window scores cover identify's windows only when both use one shape."""
     scenario, ident = config.scenario, config.ident
@@ -140,16 +133,19 @@ def _check_window(config: RunConfig) -> None:
                           f"window scores must cover the windows identify scores")
 
 
-def cmd_simulate(config: RunConfig, seed: int, out_dir: Path) -> int:
+def cmd_simulate(config: RunConfig, seed: int, out_dir: Path) -> sim.GroundTruthBundle:
     if config.scenario is None:
         raise ConfigError("simulate requires a scenario section in the config")
     _check_window(config)
-    bundle = _generate_or_config_error(config.scenario, seed)
+    try:
+        bundle = sim.generate(config.scenario, seed)
+    except ValidationError as exc:  # infeasible scenario is a config problem
+        raise ConfigError(f"infeasible scenario: {exc}") from None
     manifest = bundle.write(out_dir)
     print(f"bundle written to {out_dir} (seed {seed})")
     for name, path in sorted(manifest["files"].items()):
         print(f"  {name:14s} {path}")
-    return 0
+    return bundle
 
 
 def cmd_track(config: RunConfig, out_dir: Path) -> int:
@@ -205,33 +201,53 @@ def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int],
     return sum(getattr(r, field) == expected[r.track_id] for r in scored) / len(scored)
 
 
-def _file_scorers(config: RunConfig, vocab: core.ClassVocabulary) -> Scorers:
-    """The run's score files; jersey-score rows must have one entry per vocabulary class."""
-    return Scorers(
-        team=FileTeamScorer(config.path("team_scores")),
-        frame=FileFrameScorer(config.path("frame_scores"), vocab.num_classes),
-        window=FileWindowScorer(config.path("window_scores"), vocab.num_classes),
-    )
-
-
-def _identify_and_report(config: RunConfig, tracks: list[core.Track],
-                         vocab: core.ClassVocabulary, scorers: Scorers,
-                         expected: Mapping[int, int] | None, out_dir: Path,
-                         mask_rosters: bool, method: str | None) -> dict | None:
+def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None,
+                 bundle: sim.GroundTruthBundle | None = None) -> dict | None:
     """Identify every tracklet in one pass and write ``identities.json``.
 
-    Returns the accuracy of each arm against ``expected`` (None without it).
+    Scores come from the run's score files, or from ``bundle``'s oracles
+    when given. Returns the accuracy of each arm against the bundle's
+    ground-truth owners, else against ``paths.truth`` (None without either).
     """
+    path = config.path("tracks")
+    rows = _tracked_rows(path)
+    tracks = core.rows_to_tracks(rows)  # raw detections (id -1) are skipped
+    if rows and not tracks:
+        raise ValidationError(f"{path}: no row has a track id (>= 0); raw detections carry -1, "
+                              f"so identify needs a tracker's output")
+    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
+    expected = None
+    if bundle is not None:
+        # The oracles score any tracklet; the bundle's score files cover ground-truth ids only.
+        scorers = sim.oracle_scorers(bundle)
+        expected = {trk.track_id: want for trk in tracks
+                    if (want := bundle.expected_class(trk)) is not None}
+    else:
+        # Jersey-score rows must have one entry per vocabulary class.
+        scorers = Scorers(
+            team=FileTeamScorer(config.path("team_scores")),
+            frame=FileFrameScorer(config.path("frame_scores"), vocab.num_classes),
+            window=FileWindowScorer(config.path("window_scores"), vocab.num_classes),
+        )
+        truth_path = config.path("truth", required=False)
+        if truth_path is not None:
+            expected = {}
+            for tid, t in _load_truth(truth_path).items():
+                try:
+                    expected[tid] = t.expected_class(vocab)
+                except ValidationError as exc:
+                    raise ValidationError(f"{truth_path}: track {tid}: {exc}") from None
+
     params = config.ident if method is None else replace(config.ident, method=method)
     rosters = None
     if mask_rosters:
-        path = config.path("rosters")
-        home, away = core.load_rosters(path)
+        roster_path = config.path("rosters")
+        home, away = core.load_rosters(roster_path)
         try:
             rosters = Rosters(home=core.build_roster_vector(home, vocab),
                               away=core.build_roster_vector(away, vocab))
         except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+            raise ValidationError(f"{roster_path}: {exc}") from None
     results = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=mask_rosters)
 
     payload: dict = {
@@ -255,34 +271,11 @@ def _identify_and_report(config: RunConfig, tracks: list[core.Track],
         payload["accuracy"] = accuracy
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "identities.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return accuracy
-
-
-def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None) -> int:
-    path = config.path("tracks")
-    rows = _tracked_rows(path)
-    tracks = core.rows_to_tracks(rows)  # raw detections (id -1) are skipped
-    if rows and not tracks:
-        raise ValidationError(f"{path}: no row has a track id (>= 0); raw detections carry -1, "
-                              f"so identify needs a tracker's output")
-    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
-    scorers = _file_scorers(config, vocab)
-    expected = None
-    truth_path = config.path("truth", required=False)
-    if truth_path is not None:
-        expected = {}
-        for tid, t in _load_truth(truth_path).items():
-            try:
-                expected[tid] = t.expected_class(vocab)
-            except ValidationError as exc:
-                raise ValidationError(f"{truth_path}: track {tid}: {exc}") from None
-    accuracy = _identify_and_report(config, tracks, vocab, scorers, expected, out_dir,
-                                    mask_rosters, method)
     print(f"{len(tracks)} tracklets identified -> {out_dir / 'identities.json'}")
     for arm, value in sorted((accuracy or {}).items()):
         if value is not None:
             print(f"  accuracy {arm}: {100 * value:.2f}%")
-    return 0
+    return accuracy
 
 
 def _clip_to_overlap(name: str, gt_rows: list[core.Row], pred_rows: list[core.Row]
@@ -411,10 +404,11 @@ def cmd_eval(config: RunConfig, out_dir: Path, extra: dict | None = None) -> int
 
 def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
                  mask_rosters: bool, method: str | None) -> int:
-    """Simulate (when configured), then track, identify, and evaluate.
+    """Run the stage commands in order: simulate (when configured), track, identify, eval.
 
     A simulating run reads every input from the bundle it writes, so a
-    config that also names one of those inputs is an error.
+    config that also names one of those inputs is an error. Only that
+    bundle passes between the stages in memory.
     """
     paths = dict(config.paths)
     bundle = None
@@ -425,25 +419,15 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
         if stale:
             raise ConfigError(f"pipeline simulates its inputs, so it cannot also read "
                               f"{', '.join(stale)}; remove them or set paths.detections")
-        _check_window(config)
-        bundle = _generate_or_config_error(config.scenario, seed)
-        paths.update(bundle.write(out_dir / "bundle")["files"])
-    paths["tracks"] = str(out_dir / "tracks.csv")
+        bundle = cmd_simulate(config, seed, out_dir / "bundle")
+        paths.update({name: str(out_dir / "bundle" / file)
+                      for name, file in sim.BUNDLE_FILES.items()})
+    # truth.json is keyed by ground-truth id; these tracklets come from the tracker.
+    paths.update(tracks=str(out_dir / "tracks.csv"), truth=None)
     run = replace(config, paths=paths, videos=[])
 
     cmd_track(run, out_dir)
-    tracks = core.rows_to_tracks(core.parse_detection_file(run.path("tracks")))
-    vocab = core.ClassVocabulary.from_json(run.path("vocab"))
-    if bundle is not None:
-        # Simulated runs score tracker tracklets through the bundle oracles;
-        # the emitted score files only cover ground-truth track ids.
-        scorers = sim.oracle_scorers(bundle)
-        expected = {trk.track_id: want for trk in tracks
-                    if (want := bundle.expected_class(trk)) is not None}
-    else:
-        scorers, expected = _file_scorers(run, vocab), None
-    accuracy = _identify_and_report(run, tracks, vocab, scorers, expected, out_dir,
-                                    mask_rosters, method)
+    accuracy = cmd_identify(run, out_dir, mask_rosters, method, bundle)
     cmd_eval(run, out_dir, {"identification_accuracy": accuracy} if accuracy else None)
     return 0
 
@@ -496,11 +480,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out)
         if args.command == "simulate":
-            return cmd_simulate(config, args.seed, out_dir)
+            cmd_simulate(config, args.seed, out_dir)
+            return 0
         if args.command == "track":
             return cmd_track(config, out_dir)
         if args.command == "identify":
-            return cmd_identify(config, out_dir, not args.no_roster, args.aggregation)
+            cmd_identify(config, out_dir, not args.no_roster, args.aggregation)
+            return 0
         if args.command == "eval":
             return cmd_eval(config, out_dir)
         if args.command == "pipeline":

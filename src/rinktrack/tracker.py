@@ -208,7 +208,7 @@ class _LiveTrack:
     cov: np.ndarray
     hit_streak: int = 1
     time_since_update: int = 0
-    recorded: list[tuple[int, Detection]] = field(default_factory=list)
+    recorded: list[Detection] = field(default_factory=list)
 
 
 class SortTracker:
@@ -258,7 +258,7 @@ class SortTracker:
             if trk.hit_streak >= params.min_hits or self._frames_seen <= params.min_hits:
                 # Matched boxes are reported as observed; the filter only
                 # steers association.
-                trk.recorded.append((frame, det))
+                trk.recorded.append(det)
 
         survivors: list[_LiveTrack] = []
         for ti, trk in enumerate(self._live):
@@ -276,16 +276,14 @@ class SortTracker:
             trk = _LiveTrack(self._next_id, *kf_initiate(det.box, self._p0))
             self._next_id += 1
             if self._frames_seen <= params.min_hits:
-                trk.recorded.append((frame, det))
+                trk.recorded.append(det)
             self._live.append(trk)
 
     def finish(self) -> list[Track]:
         tracks = []
         for trk in self._finished + self._live:
             if trk.recorded:
-                tracks.append(
-                    Track(track_id=trk.track_id, detections=tuple(det for _, det in trk.recorded))
-                )
+                tracks.append(Track(track_id=trk.track_id, detections=tuple(trk.recorded)))
         return sorted(tracks, key=lambda t: t.track_id)
 
 

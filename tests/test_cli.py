@@ -1,12 +1,18 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rinktrack import cli, metrics
+from rinktrack import cli, core, metrics, sim
 from rinktrack.cli import main
+from rinktrack.ident import IdentParams, Rosters, run_pipeline
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SCENARIO = {
     "players_per_team": 3,
@@ -209,6 +215,13 @@ class TestConfigSections:
         assert f"{config}: paths.{name} must be a path, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_paths_must_be_an_object(self, tmp_path, capsys):
+        # A list of pairs once passed through dict() and read as a mapping.
+        config = write_config(tmp_path / "config.json", paths=[["detections", "nope.csv"]])
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"{config}: paths must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]\n")
@@ -398,6 +411,45 @@ class TestIdentify:
         assert calls == [{"mask_rosters": True}]
 
 
+class TestStagedIdentify:
+    """``identify`` over a written bundle's files gives ``run_pipeline``'s identities in memory."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), window=st.integers(1, 12), stride=st.integers(1, 5),
+           players=st.integers(1, 3), duration=st.integers(20, 60),
+           visibility=st.sampled_from([0.2, 0.5, 0.8]), null_rate=st.sampled_from([0.0, 0.4]),
+           pan=st.booleans(), confusion=st.booleans(),
+           method=st.sampled_from(["avg", "majority"]))
+    def test_identities_on_gt_match_run_pipeline(self, seed, window, stride, players, duration,
+                                                 visibility, null_rate, pan, confusion, method):
+        scenario = dict(SCENARIO, players_per_team=players, duration=duration, window=window,
+                        stride=stride, visibility_profile=visibility, null_tracklet_rate=null_rate,
+                        confusion={"6": {"substitute": 8, "prob": 0.5}} if confusion else {},
+                        pan_profile=[[0, 0.0], [10, 150.0], [15, 150.0]] if pan else [[0, 0.0]])
+        ident = {"window": window, "stride": stride, "method": method}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = write_config(root / "config.json", scenario=scenario, ident=ident)
+            assert main(["simulate", "--config", str(config), "--seed", str(seed),
+                         "--out", str(root / "bundle")]) == 0
+            paths = bundle_paths(root / "bundle")
+            paths["tracks"] = paths["gt"]
+            config = write_config(root / "config.json", scenario=scenario, ident=ident, paths=paths)
+            assert main(["identify", "--config", str(config), "--out", str(root / "out")]) == 0
+            staged = json.loads((root / "out" / "identities.json").read_text())["tracks"]
+
+        bundle = sim.generate(sim.ScenarioConfig.from_dict(scenario), seed)
+        rosters = Rosters(home=core.build_roster_vector(bundle.home_roster, bundle.vocab),
+                          away=core.build_roster_vector(bundle.away_roster, bundle.vocab))
+        results = run_pipeline(bundle.gt_tracks, sim.oracle_scorers(bundle), rosters,
+                               bundle.vocab, IdentParams(**ident))
+        keys = ("track_id", "team", "identity", "identity_unmasked", "p_jn")
+        assert [{k: row[k] for k in keys} for row in staged] == [
+            {"track_id": r.track_id, "team": r.team.name.lower(), "identity": r.identity,
+             "identity_unmasked": r.identity_unmasked, "p_jn": r.p_jn.values.tolist()}
+            for r in results]
+
+
 class TestInputFiles:
     """Vocabulary, roster and truth files are checked where they are read (exit 1, file named)."""
 
@@ -556,7 +608,7 @@ class TestEval:
         assert f"{bundle_dir / 'det.csv'}: frame 0: id -1 is not a track id" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("videos", [[1], ["gt.csv"], {"name": "v"}, "gt.csv"])
+    @pytest.mark.parametrize("videos", [[1], ["gt.csv"], {"name": "v"}, "gt.csv", 5])
     def test_videos_must_be_a_list_of_objects(self, workspace, capsys, videos):
         tmp_path, config, _ = workspace
         data = json.loads(config.read_text())
@@ -632,14 +684,40 @@ class TestPipeline:
         assert report["aggregate"]["mota"] == 1.0
         assert report["identification_accuracy"] == {"with_roster": 1.0, "without_roster": 1.0}
 
+    def test_runs_each_stage_command_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("cmd_simulate", "cmd_track", "cmd_identify", "cmd_eval"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, _name=name, _real=real, **kwargs:
+                                calls.append(_name) or _real(*args, **kwargs))
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--seed", "4", "--out", str(out)]) == 0
+        assert calls == ["cmd_simulate", "cmd_track", "cmd_identify", "cmd_eval"]
+        stdout = capsys.readouterr().out
+        assert f"bundle written to {out / 'bundle'} (seed 4)" in stdout
+        assert f"tracklets identified -> {out / 'identities.json'}" in stdout
+        assert "accuracy with_roster: 100.00%" in stdout
+
 
 class TestThetaSweepScript:
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_scenarios_below_one_is_usage_error(self, count):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "theta_sweep.py"
-        done = subprocess.run([sys.executable, str(script), "--scenarios", count],
-                              capture_output=True, text=True, timeout=60)
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "theta_sweep.py"), "--scenarios", count],
+            capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert f"--scenarios must be at least 1, got {count}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+
+class TestScriptSeed:
+    @pytest.mark.parametrize("script", ["run_showcase.py", "theta_sweep.py"])
+    def test_negative_seed_is_usage_error(self, script):
+        done = subprocess.run([sys.executable, str(SCRIPTS / script), "--seed", "-1"],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "--seed: must be an integer >= 0, got '-1'" in done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout == ""

@@ -78,37 +78,46 @@ class RunConfig:
                 raise ConfigError(f'config is missing paths.{name}')
             return None
         p = Path(value)
-        if not p.exists():
+        if not _readable(p):
             raise ConfigError(f"paths.{name}: file not found: {p}")
         return p
 
 
+def _readable(path: Path) -> bool:
+    """True for a path that exists and is not a directory; pipes and /dev/stdin pass."""
+    return path.exists() and not path.is_dir()
+
+
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
+    if not _readable(p):
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from None
+        return core.read_input(p, _parse_config)
+    except (ParseError, ValidationError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _parse_config(text: str) -> RunConfig:
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
+        raise ValidationError("config must be a JSON object")
 
     def section(name: str, parse):
         try:
             return parse(data.get(name, {}))
         except (TypeError, ValidationError) as exc:
-            raise ConfigError(f"{p}: {name}: {exc}") from None
+            raise ValidationError(f"{name}: {exc}") from None
 
     paths = data.get("paths", {})
     if not isinstance(paths, dict):
-        raise ConfigError(f"{p}: paths must be a JSON object, got {paths!r}")
+        raise ValidationError(f"paths must be a JSON object, got {paths!r}")
     for name, value in paths.items():
         if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{p}: paths.{name} must be a path, got {value!r}")
+            raise ValidationError(f"paths.{name} must be a path, got {value!r}")
     videos = data.get("videos", [])
     if not isinstance(videos, list) or not all(isinstance(entry, dict) for entry in videos):
-        raise ConfigError(f"{p}: videos must be a list of objects, got {videos!r}")
+        raise ValidationError(f"videos must be a list of objects, got {videos!r}")
     return RunConfig(
         paths=paths,
         videos=videos,
@@ -161,15 +170,15 @@ def cmd_track(config: RunConfig, out_dir: Path) -> int:
 _TEAMS = ("home", "away", "referee")
 
 
-def _load_truth(path: Path) -> dict[int, sim.TrackTruth]:
-    """Per-track truth from ``truth.json``; a malformed entry is a ParseError naming the file."""
-    data = core.read_json(path)
+def _expected_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
+    """Each track's expected class (see ``TrackTruth.expected_class``) from ``truth.json``."""
+    data = json.loads(text)
     tracks = data.get("tracks") if isinstance(data, dict) else None
     if not isinstance(tracks, dict):
-        raise ParseError(f'{path}: truth file must be an object with a "tracks" object')
-    truth = {}
+        raise ParseError('truth file must be an object with a "tracks" object')
+    expected = {}
     for tid, row in tracks.items():
-        where = f"{path}: track {tid!r}"
+        where = f"track {tid!r}"
         try:
             track_id = int(tid)
         except ValueError:
@@ -182,9 +191,12 @@ def _load_truth(path: Path) -> dict[int, sim.TrackTruth]:
         null_tracklet = row.get("null_tracklet", jersey is None)
         if not isinstance(null_tracklet, bool):
             raise ParseError(f"{where}: null_tracklet must be true or false")
-        truth[track_id] = sim.TrackTruth(team=row["team"], jersey=jersey,
-                                         null_tracklet=null_tracklet)
-    return truth
+        truth = sim.TrackTruth(team=row["team"], jersey=jersey, null_tracklet=null_tracklet)
+        try:
+            expected[track_id] = truth.expected_class(vocab)
+        except ValidationError as exc:
+            raise ValidationError(f"track {track_id}: {exc}") from None
+    return expected
 
 
 def _jersey_of(identity: int, vocab: core.ClassVocabulary):
@@ -231,23 +243,10 @@ def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: s
         )
         truth_path = config.path("truth", required=False)
         if truth_path is not None:
-            expected = {}
-            for tid, t in _load_truth(truth_path).items():
-                try:
-                    expected[tid] = t.expected_class(vocab)
-                except ValidationError as exc:
-                    raise ValidationError(f"{truth_path}: track {tid}: {exc}") from None
+            expected = core.read_input(truth_path, lambda text: _expected_classes(text, vocab))
 
     params = config.ident if method is None else replace(config.ident, method=method)
-    rosters = None
-    if mask_rosters:
-        roster_path = config.path("rosters")
-        home, away = core.load_rosters(roster_path)
-        try:
-            rosters = Rosters(home=core.build_roster_vector(home, vocab),
-                              away=core.build_roster_vector(away, vocab))
-        except ValidationError as exc:
-            raise ValidationError(f"{roster_path}: {exc}") from None
+    rosters = Rosters(*core.load_rosters(config.path("rosters"), vocab)) if mask_rosters else None
     results = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=mask_rosters)
 
     payload: dict = {
@@ -335,7 +334,7 @@ def _eval_videos(config: RunConfig) -> list[tuple[str, str, list[core.Row], list
                 if not isinstance(entry[key], str):
                     raise ConfigError(f"videos entry {name!r}: {key} must be a path, "
                                       f"got {entry[key]!r}")
-                if not Path(entry[key]).exists():
+                if not _readable(Path(entry[key])):
                     raise ConfigError(f"videos entry {name!r}: file not found: {entry[key]}")
             videos.append((name, f"videos entry {name!r}: {entry['gt']}",
                            _eval_rows(entry["gt"]), _eval_rows(entry["tracks"])))

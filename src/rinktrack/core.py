@@ -61,21 +61,27 @@ def known_fields(cls, data) -> dict:
     return dict(data)
 
 
-def read_json(path: str | Path):
-    """A JSON file's value; malformed JSON is a :class:`ParseError` naming the file."""
+def read_input(path: str | Path, parse):
+    """``parse`` of a UTF-8 text file; malformed JSON, undecodable bytes and a
+    ParseError or ValidationError from ``parse`` are re-raised naming the file."""
+    path = Path(path)
     try:
-        return json.loads(Path(path).read_text())
+        return parse(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def json_ints(path: str | Path, name: str, values) -> list[int]:
+def json_ints(name: str, values) -> list[int]:
     """``values`` if it is a list of JSON integers (not bools or floats); else a ParseError."""
     if not isinstance(values, list):
-        raise ParseError(f"{path}: {name} must be a list of integers, got {values!r}")
+        raise ParseError(f"{name} must be a list of integers, got {values!r}")
     bad = [v for v in values if type(v) is not int]
     if bad:
-        raise ParseError(f"{path}: {name} entries must be integers, got {bad[0]!r}")
+        raise ParseError(f"{name} entries must be integers, got {bad[0]!r}")
     return values
 
 
@@ -214,11 +220,7 @@ class ClassVocabulary:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ClassVocabulary":
-        labels = json_ints(path, "vocabulary", read_json(path))
-        try:
-            return cls(labels=tuple(labels))
-        except ValidationError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        return read_input(path, lambda text: cls(tuple(json_ints("vocabulary", json.loads(text)))))
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(list(self.labels)) + "\n")
@@ -286,12 +288,16 @@ def build_roster_vector(roster: Iterable[int], vocab: ClassVocabulary) -> Roster
     return RosterVector(mask=mask)
 
 
-def load_rosters(path: str | Path) -> tuple[list[int], list[int]]:
-    """Read a roster file ``{"home": [...], "away": [...]}``."""
-    data = read_json(path)
-    if not isinstance(data, dict) or "home" not in data or "away" not in data:
-        raise ParseError(f'{path}: roster file must be an object with "home" and "away" lists')
-    return json_ints(path, "home roster", data["home"]), json_ints(path, "away roster", data["away"])
+def load_rosters(path: str | Path, vocab: ClassVocabulary) -> tuple[RosterVector, RosterVector]:
+    """Home and away masks from a roster file ``{"home": [...], "away": [...]}``."""
+    def parse(text: str) -> tuple[RosterVector, RosterVector]:
+        data = json.loads(text)
+        if not isinstance(data, dict) or "home" not in data or "away" not in data:
+            raise ParseError('roster file must be an object with "home" and "away" lists')
+        home, away = (json_ints(f"{side} roster", data[side]) for side in ("home", "away"))
+        return build_roster_vector(home, vocab), build_roster_vector(away, vocab)
+
+    return read_input(path, parse)
 
 
 def save_rosters(home: Sequence[int], away: Sequence[int], path: str | Path) -> None:
@@ -332,11 +338,7 @@ def parse_detection_rows(text: str) -> list[Row]:
 
 
 def parse_detection_file(path: str | Path) -> list[Row]:
-    path = Path(path)
-    try:
-        return parse_detection_rows(path.read_text())
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_input(path, parse_detection_rows)
 
 
 def _fmt(v: float) -> str:

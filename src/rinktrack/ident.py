@@ -330,13 +330,13 @@ class ScoreFile:
                  width: int | None = None):
         self.path = Path(path)
         values, keys = array("d"), array("q")
-        with self.path.open() as lines:
+        with self.path.open("rb") as lines:
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
                 where = f"{self.path}:{lineno}"
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode())  # UTF-8: a bad byte is a ValueError
                     track_id, key, probs = rec["track_id"], rec[key_field], rec[probs_field]
                     values.extend(probs)
                 except KeyError as exc:
@@ -345,7 +345,7 @@ class ScoreFile:
                     raise ParseError(f"{where}: {exc}") from None
                 # array("d") takes JSON true/false as 1.0/0.0; one scan of the
                 # line's text keeps the per-entry type check off clean lines.
-                if ("true" in line or "false" in line) and any(type(p) is bool for p in probs):
+                if (b"true" in line or b"false" in line) and any(type(p) is bool for p in probs):
                     raise ParseError(f"{where}: probabilities must be numbers, not booleans")
                 if width is None:
                     width = len(probs)
@@ -384,7 +384,7 @@ class ScoreFile:
 
     def _line(self, row: int) -> int:
         """1-based line number of the ``row``-th non-blank line."""
-        with self.path.open() as lines:
+        with self.path.open("rb") as lines:
             numbered = (n for n, line in enumerate(lines, 1) if line.strip())
             return next(islice(numbered, row, None))
 

@@ -164,9 +164,8 @@ class ScenarioConfig:
                     raise ValidationError(
                         f"confusion keys must be jersey numbers, got {k!r}") from None
                 try:
-                    confusion[number] = (ConfusionSpec(**v) if isinstance(v, Mapping)
-                                         else ConfusionSpec(*v))
-                except TypeError as exc:
+                    confusion[number] = ConfusionSpec(**known_fields(ConfusionSpec, v))
+                except (TypeError, ValidationError) as exc:
                     raise ValidationError(f"confusion {number}: {exc}") from None
             kwargs["confusion"] = confusion
         for name in ("speed_range", "vocab_labels", "home_roster", "away_roster"):

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -183,6 +185,8 @@ class TestConfigSections:
         ("eval", "metrics", {"delta_step": 0}, "delta_step must be an integer >= 1, got 0"),
         ("simulate", "scenario", dict(SCENARIO, confusion={"six": {"substitute": 8, "prob": 0.5}}),
          "confusion keys must be jersey numbers, got 'six'"),
+        ("simulate", "scenario", dict(SCENARIO, confusion={"6": [8, 0.5]}),
+         "confusion 6: must be a JSON object, got [8, 0.5]"),
     ])
     def test_invalid_field_exits_2_naming_it(self, tmp_path, capsys, command, section, fields,
                                              message):
@@ -248,14 +252,35 @@ class TestTrack:
         assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "tracks.csv").read_text() == ""
 
-    def test_bad_config_path_exits_2(self, tmp_path):
-        assert main(["track", "--config", str(tmp_path / "nope.json"),
+    @pytest.mark.parametrize("name", ["nope.json", "a_directory"])
+    def test_bad_config_path_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        assert main(["track", "--config", str(tmp_path / name),
                      "--out", str(tmp_path / "out")]) == 2
+        assert f"error: config file not found: {tmp_path / name}" in capsys.readouterr().err
 
-    def test_missing_detections_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+    def test_missing_detections_file_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
         config = write_config(tmp_path / "config.json",
-                              paths={"detections": str(tmp_path / "missing.csv")})
+                              paths={"detections": str(tmp_path / name)})
         assert main(["track", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: paths.detections: file not found: {tmp_path / name}"
+                in capsys.readouterr().err)
+
+    def test_config_read_from_a_pipe(self, tmp_path):
+        """A named pipe is no regular file, yet it is read like one."""
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        pipe = tmp_path / "config.pipe"
+        os.mkfifo(pipe)
+        text = json.dumps({"paths": {"detections": str(empty)}})
+        # Opening a pipe to write blocks until it is opened to read.
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        assert main(["track", "--config", str(pipe), "--out", str(tmp_path / "out")]) == 0
+        writer.join(timeout=5)
+        assert not writer.is_alive()
 
     def test_malformed_detections_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -486,6 +511,26 @@ class TestInputFiles:
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {bundle_dir / name}: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, code", [
+        ("track", "config", 2), ("track", "detections", 1), ("identify", "tracks", 1),
+        ("eval", "gt", 1), ("identify", "vocab", 1), ("identify", "rosters", 1),
+        ("identify", "truth", 1), ("identify", "frame_scores", 1),
+        ("identify", "team_scores", 1), ("identify", "window_scores", 1),
+    ])
+    def test_undecodable_byte_exits_naming_the_file(self, workspace, capsys, command, name,
+                                                     code):
+        """Every input is read as UTF-8; a score file names the line holding the bad byte."""
+        tmp_path, config, _ = workspace
+        path = config if name == "config" else Path(json.loads(config.read_text())["paths"][name])
+        lines = path.read_bytes().splitlines(keepends=True)
+        where, line = (f"{path}:2", 1) if name.endswith("_scores") else (f"{path}", 0)
+        lines[line] = b"\xff" + lines[line]
+        path.write_bytes(b"".join(lines))
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert f"error: {where}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_self_evaluation_perfect_row(self, workspace):
@@ -616,6 +661,17 @@ class TestEval:
         config.write_text(json.dumps(data))
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "videos must be a list of objects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+    def test_missing_video_file_exits_2_naming_the_entry(self, workspace, capsys, name):
+        tmp_path, config, _ = workspace
+        (tmp_path / "a_directory").mkdir()
+        data = json.loads(config.read_text())
+        data["videos"] = [{"name": "v", "gt": data["paths"]["gt"], "tracks": str(tmp_path / name)}]
+        config.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: videos entry 'v': file not found: {tmp_path / name}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, value, message", [
         ("tracks", 7, "videos entry 'v': tracks must be a path, got 7"),

@@ -324,6 +324,118 @@ class TestAggregationReference:
             assert np.allclose(result.p_jn.values, want_p, atol=1e-12)
 
 
+class TrackRows:
+    """Frame, team or window scores per tracklet: row ``index`` of its track's list."""
+
+    def __init__(self, rows):
+        self.rows = {tid: [np.asarray(r, dtype=float) for r in rs] for tid, rs in rows.items()}
+        self.calls = []
+
+    def score_frame(self, track, index):
+        return self.rows[track.track_id][index]
+
+    def score_window(self, track, start, length):
+        self.calls.append((track.track_id, start, length))
+        return self.rows[track.track_id][start]
+
+
+def _reference_identity(team_rows, null_probs, window_rows, params, home, away):
+    """The paper's rule in plain lists: (team, identity, identity_unmasked, p_jn, starts).
+
+    ``home`` and ``away`` admit each jersey class, then null, by a boolean.
+    """
+    counts, confidence = [0, 0, 0], [0.0, 0.0, 0.0]
+    for row in team_rows:
+        label = _first_argmax(row)
+        counts[label] += 1
+        confidence[label] += row[label]
+    # More frames, then more summed confidence, then Home < Away < Referee.
+    team = min(range(3), key=lambda j: (-counts[j], -confidence[j], j))
+    k = len(team_rows)
+    starts = [0] if k < params.window else list(range(0, k - params.window + 1, params.stride))
+    visible = not params.visibility_filtering or any(p < params.theta for p in null_probs)
+    unmasked, mean = _reference_aggregation([window_rows[s] for s in starts], visible,
+                                            params.method, params.postprocessing,
+                                            params.strict_null_fallback)
+    p_jn = [m / sum(mean) for m in mean]
+    if team == TeamLabel.REFEREE.value:
+        return team, REFEREE_CLASS, REFEREE_CLASS, p_jn, starts
+    mask = home if team == TeamLabel.HOME.value else away
+    masked = _first_argmax([p if on else 0.0 for p, on in zip(p_jn, mask)])
+    return team, masked, unmasked, p_jn, starts
+
+
+_NUM_JERSEYS = 3  # jersey classes, plus null
+# Small integer weights make exact count, confidence and class ties common.
+_team_weights = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def _tracklet_scores(draw):
+    """(team rows, null-probability levels, window rows) for one random tracklet."""
+    k = draw(st.integers(1, 10))
+    team = draw(st.lists(_team_weights, min_size=k, max_size=k))
+    levels = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    # A null weight up to 9 makes windows, and whole tracklets, argmax null often.
+    windows = draw(st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=_NUM_JERSEYS,
+                                               max_size=_NUM_JERSEYS), st.integers(0, 9))
+                            .map(lambda wn: wn[0] + [wn[1]]).filter(any),
+                            min_size=k, max_size=k))
+    return _normalised(team), levels, _normalised(windows)
+
+
+def _normalised(weights):
+    return [[w / sum(row) for w in row] for row in weights]
+
+
+class TestIdentificationReference:
+    """``run_pipeline`` against the plain-list rule on random tracklets, in both arms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tracklets=st.lists(_tracklet_scores(), min_size=1, max_size=3),
+           window=st.integers(1, 6), stride=st.integers(1, 3),
+           theta=st.sampled_from([0.01, 0.25, 0.5]),
+           method=st.sampled_from(["avg", "majority"]), postprocessing=st.booleans(),
+           strict=st.booleans(), filtering=st.booleans(),
+           home=st.lists(st.booleans(), min_size=_NUM_JERSEYS, max_size=_NUM_JERSEYS),
+           away=st.lists(st.booleans(), min_size=_NUM_JERSEYS, max_size=_NUM_JERSEYS))
+    def test_run_pipeline_matches_reference(self, tracklets, window, stride, theta, method,
+                                            postprocessing, strict, filtering, home, away):
+        params = IdentParams(theta=theta, window=window, stride=stride, method=method,
+                             postprocessing=postprocessing, strict_null_fallback=strict,
+                             visibility_filtering=filtering)
+        vocab = ClassVocabulary(labels=tuple(range(1, _NUM_JERSEYS + 1)))
+        # Null probabilities well below, just below, at, just above and well above theta.
+        null_at = [0.0, np.nextafter(theta, 0.0), theta, np.nextafter(theta, 1.0), 0.9]
+        tracks, team, frame, windows, expected = [], {}, {}, {}, {}
+        for tid, (team_rows, levels, window_rows) in enumerate(tracklets):
+            null_probs = [float(null_at[level]) for level in levels]
+            tracks.append(make_track(track_id=tid, length=len(team_rows)))
+            team[tid], windows[tid] = team_rows, window_rows
+            frame[tid] = frame_rows_with_null(null_probs, _NUM_JERSEYS + 1)
+            expected[tid] = _reference_identity(team_rows, null_probs, window_rows, params,
+                                                home + [True], away + [True])
+        rosters = Rosters(
+            home=build_roster_vector([n for n, on in zip(vocab.labels, home) if on], vocab),
+            away=build_roster_vector([n for n, on in zip(vocab.labels, away) if on], vocab))
+        for mask_rosters in (False, True):
+            scorers = Scorers(team=TrackRows(team), frame=TrackRows(frame),
+                              window=TrackRows(windows))
+            results = run_pipeline(tracks, scorers, rosters, vocab, params,
+                                   mask_rosters=mask_rosters)
+            assert [r.track_id for r in results] == list(expected)
+            for r in results:
+                want_team, masked, unmasked, p_jn, starts = expected[r.track_id]
+                assert r.team is TeamLabel(want_team)
+                assert r.identity_unmasked == unmasked
+                assert r.identity == (masked if mask_rosters else unmasked)
+                assert np.allclose(r.p_jn.values, p_jn, rtol=0.0, atol=1e-12)
+            length = {t.track_id: min(window, len(t)) for t in tracks}
+            assert scorers.window.calls == [(tid, start, length[tid])
+                                            for tid, (*_, starts) in expected.items()
+                                            for start in starts]
+
+
 class TestIdentify:
     def test_mask_removes_top_class(self):
         v = build_roster_vector({20}, VOCAB2)  # mask [0, 1, 1]

@@ -177,12 +177,12 @@ def _expected_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
     if not isinstance(tracks, dict):
         raise ParseError('truth file must be an object with a "tracks" object')
     expected = {}
-    for tid, row in tracks.items():
-        where = f"track {tid!r}"
+    for key, row in tracks.items():
         try:
-            track_id = int(tid)
+            track_id = int(key)
         except ValueError:
-            raise ParseError(f"{where}: track ids must be integers") from None
+            raise ParseError(f"track {key!r}: track ids must be integers") from None
+        where = f"track {track_id}"
         if not isinstance(row, dict) or row.get("team") not in _TEAMS:
             raise ParseError(f"{where}: team must be one of {', '.join(_TEAMS)}")
         jersey = row.get("jersey", "missing")
@@ -195,7 +195,7 @@ def _expected_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
         try:
             expected[track_id] = truth.expected_class(vocab)
         except ValidationError as exc:
-            raise ValidationError(f"track {track_id}: {exc}") from None
+            raise ValidationError(f"{where}: {exc}") from None
     return expected
 
 

@@ -190,12 +190,13 @@ class ClassVocabulary:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for v in self.labels:
+            check_int("jersey label", v, 0)
+            if v > 99:
+                raise ValidationError(f"jersey label must be at most 99, got {v!r}")
         if len(set(self.labels)) != len(self.labels):
             dupes = sorted({v for v in self.labels if list(self.labels).count(v) > 1})
             raise ValidationError(f"duplicate jersey labels: {dupes}")
-        bad = [v for v in self.labels if not (0 <= int(v) <= 99)]
-        if bad:
-            raise ValidationError(f"jersey labels must be integers 0-99, got {bad}")
 
     @property
     def null_index(self) -> int:
@@ -263,14 +264,14 @@ class RosterVector:
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.mask, dtype=np.int8)
-        if arr.ndim != 1:
+        raw = np.asarray(self.mask)
+        if raw.ndim != 1:
             raise ValidationError("roster mask must be 1-D")
-        if not np.all((arr == 0) | (arr == 1)):
+        if not np.all((raw == 0) | (raw == 1)):
             raise ValidationError("roster mask entries must be 0 or 1")
-        if arr[-1] != 1:
+        if not raw.size or raw[-1] != 1:
             raise ValidationError("roster mask must admit the null class")
-        arr = arr.copy()
+        arr = raw.astype(np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "mask", arr)
 
@@ -314,7 +315,8 @@ Row = tuple[int, Detection]
 
 def parse_detection_rows(text: str) -> list[Row]:
     rows: list[Row] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Not splitlines, which also breaks at \x0c, U+2028 and the like and so misnumbers lines.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -15,6 +15,7 @@ import gc
 import json
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -218,46 +219,41 @@ class GroundTruthBundle:
     detections: list[tuple[int, Detection]]
 
     def __post_init__(self) -> None:
-        # Per-frame id/corner arrays, built on the first lookup so runs that
-        # never match boxes never pay for them.
-        self._gt_by_frame: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        # The ground-truth table (``_index_frames``), built on the first lookup
+        # so runs that never match boxes never pay for it.
+        self._gt_table: tuple[list[int], list[int], np.ndarray, np.ndarray] | None = None
         # Each detection's (owner, number shown), matched on its first lookup.
         # Keys are values, so equal detections of any tracklet share an entry.
         self._owners: dict[Detection, tuple[int | None, bool]] = {}
 
-    def _index_frames(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Each frame's ground-truth ids and corners, its rows in ``gt_tracks`` order."""
+    def _index_frames(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+        """Ground truth as one table sorted by frame, each frame's rows in ``gt_tracks``
+        order: the distinct frames, the row where each starts (then the row count),
+        and the rows' ids and corners."""
         rows = [d for trk in self.gt_tracks for d in trk.detections]
-        n = len(rows)
-        frames = np.fromiter((d.frame for d in rows), dtype=np.int64, count=n)
+        frames = np.fromiter((d.frame for d in rows), dtype=np.int64, count=len(rows))
         ids = np.repeat(np.array([trk.track_id for trk in self.gt_tracks], dtype=np.int64),
                         [len(trk) for trk in self.gt_tracks])
-        x, y, w, h = (np.fromiter((getattr(d.box, name) for d in rows), dtype=float, count=n)
-                      for name in ("x", "y", "w", "h"))
         # One stable sort by frame keeps each frame's rows in track order.
         order = np.argsort(frames, kind="stable")
-        frames, ids = frames[order], ids[order]
-        corners = np.column_stack([x, y, x + w, y + h])[order]
-        starts = np.flatnonzero(np.diff(frames, prepend=-1))
-        return {
-            frame: (frame_ids, frame_corners)
-            for frame, frame_ids, frame_corners in zip(
-                frames[starts].tolist(), np.split(ids, starts[1:]), np.split(corners, starts[1:]))
-        }
+        starts = np.flatnonzero(np.diff(frames[order], prepend=-1))
+        return (frames[order[starts]].tolist(), [*starts.tolist(), len(rows)], ids[order],
+                box_corners([d.box for d in rows])[order])
 
     # -- ground-truth lookups -------------------------------------------------
 
     def match_gt(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
         """Ground-truth track owning a box at a frame, by best IoU."""
-        if self._gt_by_frame is None:
-            self._gt_by_frame = self._index_frames()
-        entry = self._gt_by_frame.get(frame)
-        if entry is None:
+        if self._gt_table is None:
+            self._gt_table = self._index_frames()
+        frames, starts, ids, corners = self._gt_table
+        i = bisect_left(frames, frame)
+        if i == len(frames) or frames[i] != frame:
             return None
-        ids, corners = entry
-        overlap = iou_corners(box_corners([box]), corners)[0]
+        lo = starts[i]
+        overlap = iou_corners(box_corners([box]), corners[lo:starts[i + 1]])[0]
         best = int(np.argmax(overlap))
-        return int(ids[best]) if overlap[best] >= min_iou else None
+        return int(ids[lo + best]) if overlap[best] >= min_iou else None
 
     def _owner(self, det: Detection) -> tuple[int | None, bool]:
         """``det``'s ``match_gt`` owner and whether its number shows for that owner."""

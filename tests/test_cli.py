@@ -488,13 +488,15 @@ class TestInputFiles:
         ("rosters.json", {"home": [1], "away": 4}, "away roster must be a list of integers, got 4"),
         ("truth.json", {"track": {}}, 'truth file must be an object with a "tracks" object'),
         ("truth.json", {"tracks": {"1": {"team": "goalie", "jersey": 1}}},
-         "track '1': team must be one of home, away, referee"),
+         "track 1: team must be one of home, away, referee"),
         ("truth.json", {"tracks": {"1": {"team": "home", "jersey": "7"}}},
-         "track '1': jersey must be an integer or null, got '7'"),
+         "track 1: jersey must be an integer or null, got '7'"),
         ("truth.json", {"tracks": {"1": {"team": "home", "jersey": 1.5}}},
-         "track '1': jersey must be an integer or null, got 1.5"),
+         "track 1: jersey must be an integer or null, got 1.5"),
         ("truth.json", {"tracks": {"one": {"team": "home", "jersey": 1}}},
          "track 'one': track ids must be integers"),
+        ("truth.json", {"tracks": {"07": {"team": "home", "jersey": None, "null_tracklet": 1}}},
+         "track 7: null_tracklet must be true or false"),
     ])
     def test_invalid_entry_exits_1_naming_the_file(self, workspace, capsys, name, content,
                                                    message):

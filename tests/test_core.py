@@ -14,10 +14,12 @@ from rinktrack.core import (
     Detection,
     ParseError,
     ProbVector,
+    RosterVector,
     Track,
     ValidationError,
     build_roster_vector,
     default_vocabulary,
+    parse_detection_file,
     parse_detection_rows,
     rows_to_tracks,
     serialize_detection_rows,
@@ -237,6 +239,21 @@ class TestDetectionFile:
         with pytest.raises(ParseError, match="line 1"):
             parse_detection_rows("1,2,3\n")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x0c"])
+    def test_lines_are_numbered_at_newlines_only(self, char, tmp_path):
+        # str.splitlines would also break at these, pushing every later line number up.
+        after_row = f"0,-1,1,2,3,4,0.5\n1,-1,1,2,3,4,0.5{char}\n2,-1,x,2,3,4,0.5\n"
+        alone = f"0,-1,1,2,3,4,0.5\n{char}\n2,-1,x,2,3,4,0.5\n"
+        inside = f"0,-1,1,2,3,4,0.5\n1,-1,1,2,3{char}5,4,0.5\n2,-1,x,2,3,4,0.5\n"
+        for text, line in ((after_row, 3), (alone, 3), (inside, 2)):
+            with pytest.raises(ParseError, match=f"^line {line}: "):
+                parse_detection_rows(text)
+            path = tmp_path / "det.csv"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: "):
+                parse_detection_file(path)
+        assert len(parse_detection_rows(f"0,-1,1,2,3,4,0.5{char}\n1,-1,1,2,3,4,0.5\n")) == 2
+
     @pytest.mark.parametrize("line", ["1,-1,10,20,30,40,0.9,junk", "1,-1,10,20,30,40,0.9,",
                                       "1,-1,10,20,30,40,0.9,0.5,0.5"])
     def test_extra_fields_rejected(self, line):
@@ -296,6 +313,17 @@ class TestVocabulary:
         with pytest.raises(ValidationError):
             ClassVocabulary(labels=(1, 100))
 
+    @pytest.mark.parametrize("labels, bad", [
+        ((1.5, 2), "1.5"), (("a",), "'a'"), ((1, True), "True"), ((3, -1), "-1"),
+        ((1, 100), "100"), ((np.float64(4.0),), "np.float64(4.0)")])
+    def test_labels_must_be_integers(self, labels, bad):
+        with pytest.raises(ValidationError, match=f"^jersey label must be .*, got {re.escape(bad)}$"):
+            ClassVocabulary(labels=labels)
+
+    def test_numpy_integer_labels_accepted(self):
+        vocab = ClassVocabulary(labels=(np.int64(7), 9))
+        assert vocab.index_of(7) == 0
+
     def test_label_lookup(self):
         vocab = ClassVocabulary(labels=(12, 34, 88))
         assert vocab.index_of(34) == 1
@@ -344,6 +372,23 @@ class TestRosterVector:
     def test_empty_roster_admits_only_null(self):
         vocab = ClassVocabulary(labels=(12, 34, 88))
         assert build_roster_vector(set(), vocab).mask.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("mask", [[0.5, 1], [1, 0.999, 1], [2, 1], [-1, 1], ["1", "1"]])
+    def test_entries_must_be_exactly_0_or_1(self, mask):
+        with pytest.raises(ValidationError, match="entries must be 0 or 1"):
+            RosterVector(mask=mask)
+
+    def test_mask_is_a_frozen_int8_copy(self):
+        for given_mask in (np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1], dtype=np.int8)):
+            rv = RosterVector(mask=given_mask)
+            assert rv.mask.dtype == np.int8 and rv.mask.tolist() == [0, 1, 1]
+            assert not rv.mask.flags.writeable
+            given_mask[0] = 1
+            assert rv.mask.tolist() == [0, 1, 1]
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValidationError, match="null class"):
+            RosterVector(mask=[])
 
     def test_out_of_vocabulary_number_rejected(self):
         vocab = ClassVocabulary(labels=(12, 34, 88))

@@ -572,22 +572,28 @@ class TestMatchGt:
                 assert (bundle.match_gt(frame, box, min_iou)
                         == reference_match_gt(bundle, frame, box, min_iou)), (frame, box)
 
+    @staticmethod
+    def track(tid, *frame_boxes):
+        return Track(track_id=tid, detections=tuple(
+            Detection(frame=f, box=b, confidence=1.0) for f, b in frame_boxes))
+
+    @staticmethod
+    def hand_built(gt_tracks):
+        """A bundle holding only ``gt_tracks``, in the order given."""
+        ids = [trk.track_id for trk in gt_tracks]
+        return GroundTruthBundle(
+            config=small_config(), seed=0, vocab=ClassVocabulary(labels=SMALL_VOCAB),
+            home_roster=(1,), away_roster=(2,), gt_tracks=gt_tracks,
+            truth={tid: TrackTruth(team="home", jersey=1, null_tracklet=False) for tid in ids},
+            visible_frames={tid: frozenset() for tid in ids}, pan_gaps=[], detections=[])
+
     def test_tie_goes_to_earlier_track_in_gt_tracks_order(self):
         box = BoundingBox(10.0, 10.0, 20.0, 30.0)
         shifted = BoundingBox(25.0, 10.0, 20.0, 30.0)
-
-        def track(tid, *frame_boxes):
-            return Track(track_id=tid, detections=tuple(
-                Detection(frame=f, box=b, confidence=1.0) for f, b in frame_boxes))
-
+        track = self.track
         # Track 5 comes first in gt_tracks although its id is higher.
-        gt_tracks = [track(5, (0, box), (1, shifted), (2, box)),
-                     track(2, (1, shifted), (2, box), (3, box))]
-        truth = {tid: TrackTruth(team="home", jersey=1, null_tracklet=False) for tid in (2, 5)}
-        bundle = GroundTruthBundle(
-            config=small_config(), seed=0, vocab=ClassVocabulary(labels=SMALL_VOCAB),
-            home_roster=(1,), away_roster=(2,), gt_tracks=gt_tracks, truth=truth,
-            visible_frames={2: frozenset(), 5: frozenset()}, pan_gaps=[], detections=[])
+        bundle = self.hand_built([track(5, (0, box), (1, shifted), (2, box)),
+                                  track(2, (1, shifted), (2, box), (3, box))])
         for frame in (0, 1, 2, 3, 4):
             for query in (box, shifted, BoundingBox(12.0, 11.0, 20.0, 30.0)):
                 assert bundle.match_gt(frame, query) == brute_force_owner(bundle, frame, query)
@@ -595,6 +601,58 @@ class TestMatchGt:
         assert bundle.match_gt(2, box) == 5
         assert bundle.match_gt(3, box) == 2
         assert bundle.match_gt(4, box) is None
+
+    def test_frames_without_ground_truth(self):
+        box = BoundingBox(10.0, 10.0, 20.0, 30.0)
+        shifted = BoundingBox(14.0, 12.0, 20.0, 30.0)
+        # Ground truth on frames 3-4, 7 and 10 only: gaps at 5-6 and 8-9.
+        bundle = self.hand_built([self.track(1, (3, box), (4, box), (10, shifted)),
+                                  self.track(2, (4, shifted), (7, box))])
+        for frame in (0, 2, 5, 6, 8, 9, 11, 12, 10_000, -1):
+            assert bundle.match_gt(frame, box) is None, frame
+            assert brute_force_owner(bundle, frame, box) is None
+        for frame in (3, 4, 7, 10):
+            for query in (box, shifted, BoundingBox(60.0, 60.0, 5.0, 5.0)):
+                assert bundle.match_gt(frame, query) == brute_force_owner(bundle, frame, query)
+        assert bundle.match_gt(3, box) == 1
+        assert bundle.match_gt(4, shifted) == 2
+        assert bundle.match_gt(7, box) == 2
+
+    def test_frames_with_a_single_row(self):
+        box = BoundingBox(10.0, 10.0, 20.0, 30.0)
+        far = BoundingBox(200.0, 200.0, 20.0, 30.0)
+        bundle = self.hand_built([self.track(4, (0, box)), self.track(6, (1, far)),
+                                  self.track(8, (2, box), (3, far))])
+        for frame in (0, 1, 2, 3):
+            for query in (box, far, BoundingBox(12.0, 10.0, 20.0, 30.0)):
+                for min_iou in (0.2, 0.9):
+                    assert (bundle.match_gt(frame, query, min_iou)
+                            == brute_force_owner(bundle, frame, query, min_iou)), (frame, query)
+        assert [bundle.match_gt(f, box) for f in range(4)] == [4, None, 8, None]
+        assert [bundle.match_gt(f, far) for f in range(4)] == [None, 6, None, 8]
+
+    def test_gt_tracks_out_of_id_order(self):
+        rng = np.random.default_rng(5)
+
+        def boxes(n):
+            return [BoundingBox(float(x), float(y), 20.0, 30.0)
+                    for x, y in rng.uniform(0.0, 60.0, size=(n, 2))]
+
+        # Ids 9, 3, 7, 1 with interleaved and partly shared frames.
+        gt_tracks = [self.track(9, *zip((2, 3, 5, 8), boxes(4))),
+                     self.track(3, *zip((0, 3, 4, 5), boxes(4))),
+                     self.track(7, *zip((1, 3, 8, 9), boxes(4))),
+                     self.track(1, *zip((3, 5, 6), boxes(3)))]
+        bundle = self.hand_built(gt_tracks)
+        queries = [d.box for trk in gt_tracks for d in trk.detections] + boxes(20)
+        owners = set()
+        for frame in range(-1, 11):
+            for query in queries:
+                for min_iou in (0.0, 0.2, 0.5):
+                    expected = brute_force_owner(bundle, frame, query, min_iou)
+                    assert bundle.match_gt(frame, query, min_iou) == expected, (frame, query)
+                    owners.add(expected)
+        assert owners == {None, 1, 3, 7, 9}
 
 
 class TestPanGaps:

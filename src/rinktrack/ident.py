@@ -17,14 +17,12 @@ import json
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .core import (
-    PROB_SUM_TOL,
     ClassVocabulary,
     ParseError,
     ProbVector,
@@ -34,6 +32,7 @@ from .core import (
     ValidationError,
     check_bool,
     check_int,
+    first_bad_row,
     is_number,
     known_fields,
 )
@@ -96,23 +95,43 @@ class IdentParams:
         return cls(**known_fields(cls, data))
 
 
+def _checked_rows(tracklet: Track, rows: Sequence, what: str, width: int | None = None) -> np.ndarray:
+    """A scorer's rows for the tracklet's first ``len(rows)`` frames as one array.
+
+    Every row must be 1-D and ``width`` wide (the first row's width if None)
+    and pass :func:`~rinktrack.core.first_bad_row`; the first that does not
+    raises a ValidationError naming the track, the row and its frame.
+    """
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    width = len(rows[0]) if width is None else width
+    problem = next(((i, f"expected {width} probabilities, got shape {row.shape}")
+                    for i, row in enumerate(rows) if row.shape != (width,)), None)
+    if problem is None:
+        stacked = np.stack(rows)
+        problem = first_bad_row(stacked)
+    if problem is not None:
+        i, reason = problem
+        raise ValidationError(f"{what} row {i} of track {tracklet.track_id} "
+                              f"(frame {tracklet.detections[i].frame}): {reason}")
+    return stacked
+
+
 def team_vote(tracklet: Track, scorer: FrameScorer) -> TeamLabel:
     """Majority vote over per-frame team argmaxes.
 
     Count ties go to the label with the larger summed confidence over
     its winning frames, then to Home < Away < Referee order.
     """
-    counts = {label: 0 for label in TeamLabel}
-    confidence = {label: 0.0 for label in TeamLabel}
-    for i in range(len(tracklet)):
-        probs = np.asarray(scorer.score_frame(tracklet, i), dtype=float)
-        if probs.shape != (3,):
-            raise ValidationError(f"team scorer must return 3 probabilities, got {probs.shape}")
-        label = TeamLabel(int(np.argmax(probs)))
+    rows = _checked_rows(tracklet, [scorer.score_frame(tracklet, i) for i in range(len(tracklet))],
+                         "team score", len(TeamLabel))
+    counts = [0] * len(TeamLabel)
+    confidence = [0.0] * len(TeamLabel)
+    # Summed one frame at a time, in frame order: np.sum may round differently.
+    for label, top in zip(rows.argmax(axis=1).tolist(), rows.max(axis=1).tolist()):
         counts[label] += 1
-        confidence[label] += float(probs.max())
+        confidence[label] += top
     # max() keeps the first of equal keys, so enum order settles confidence ties.
-    return max(TeamLabel, key=lambda label: (counts[label], confidence[label]))
+    return max(TeamLabel, key=lambda label: (counts[label.value], confidence[label.value]))
 
 
 def window_starts(k: int, window: int, stride: int = 1) -> list[int]:
@@ -133,12 +152,18 @@ def window_probs(tracklet: Track, scorer: WindowScorer, params: IdentParams) -> 
 
 
 def jersey_visible(tracklet: Track, image_scorer: FrameScorer, theta: float) -> bool:
-    """True iff any frame's null-class probability falls strictly below theta."""
+    """True iff any frame's null-class probability falls strictly below theta.
+
+    Frames are read up to the first such frame; the rows read are checked once.
+    """
+    rows, visible = [], False
     for i in range(len(tracklet)):
-        probs = np.asarray(image_scorer.score_frame(tracklet, i), dtype=float)
-        if probs[-1] < theta:
-            return True
-    return False
+        rows.append(image_scorer.score_frame(tracklet, i))
+        if rows[-1][-1] < theta:
+            visible = True
+            break
+    _checked_rows(tracklet, rows, "frame score")
+    return visible
 
 
 def _aggregate(P: Sequence[ProbVector], visible: bool, method: str, postprocessing: bool,
@@ -292,37 +317,20 @@ def _pack(track_id: int, key: int) -> int | None:
     return None
 
 
-def _first_bad_row(values: np.ndarray) -> tuple[int, str] | None:
-    """First row of ``values`` that is not a distribution, with the reason; None if none.
-
-    In-place steps keep the temporaries small next to a 3-wide team row.
-    """
-    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # NaN fails both
-    sum_error = values.sum(axis=1)
-    sum_error -= 1.0
-    np.abs(sum_error, out=sum_error)
-    bad = np.flatnonzero(~in_range | ~(sum_error <= PROB_SUM_TOL))
-    if bad.size == 0:
-        return None
-    row = int(bad[0])
-    if not in_range[row]:
-        return row, "probability entries must be finite and lie in [0, 1]"
-    return row, f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {float(values[row].sum())!r}"
-
-
 class ScoreFile:
     """A JSON-lines score file, validated and packed into one array as it is read.
 
     Each non-blank line ``{"track_id": T, <key_field>: K, <probs_field>: [...]}``
     becomes one row of :attr:`values`, a read-only ``(rows, width)`` float64
-    array. Lines are decoded one at a time straight into a flat buffer, so
-    no per-line record outlives its line. Rows are found by bisecting the
-    sorted packed ``(T, K)`` keys, which costs 16 bytes a row where a dict
-    of tuples would cost more than a whole team-score line.
+    array. The file is read once, so a named pipe works: lines are decoded
+    one at a time straight into a flat buffer, and no per-line record
+    outlives its line. Rows are found by bisecting the sorted packed
+    ``(T, K)`` keys, which costs 16 bytes a row where a dict of tuples would
+    cost more than a whole team-score line.
 
-    Every row must be a distribution (finite JSON numbers, not booleans,
-    in [0, 1] that sum to 1 within ``PROB_SUM_TOL``), all rows must have one width (``width`` if
-    given), and no ``(T, K)`` key may repeat. A violation raises
+    Every row must hold JSON numbers, not booleans, and pass
+    :func:`~rinktrack.core.first_bad_row`; all rows must have one width
+    (``width`` if given), and no ``(T, K)`` key may repeat. A violation raises
     :class:`ParseError` or :class:`ValidationError` naming ``path:line``.
     """
 
@@ -330,9 +338,11 @@ class ScoreFile:
                  width: int | None = None):
         self.path = Path(path)
         values, keys = array("d"), array("q")
+        self._blanks: list[int] = []  # the skipped lines' numbers, for _line
         with self.path.open("rb") as lines:
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
+                    self._blanks.append(lineno)
                     continue
                 where = f"{self.path}:{lineno}"
                 try:
@@ -361,7 +371,7 @@ class ScoreFile:
         self.values = np.frombuffer(values, dtype=float).reshape(len(keys), self.width)
         self.values.flags.writeable = False
 
-        value_problem = _first_bad_row(self.values)
+        value_problem = first_bad_row(self.values)
 
         # Sort the packed keys in place; _rows maps a sorted position to its row.
         sorted_keys = np.frombuffer(keys, dtype=np.int64)
@@ -384,9 +394,12 @@ class ScoreFile:
 
     def _line(self, row: int) -> int:
         """1-based line number of the ``row``-th non-blank line."""
-        with self.path.open("rb") as lines:
-            numbered = (n for n, line in enumerate(lines, 1) if line.strip())
-            return next(islice(numbered, row, None))
+        line = row + 1
+        for blank in self._blanks:  # ascending: each one at or before the line pushes it down
+            if blank > line:
+                break
+            line += 1
+        return line
 
     def get(self, track_id: int, key: int) -> np.ndarray | None:
         """The row keyed ``(track_id, key)``, or None when the file has none."""
@@ -410,7 +423,7 @@ class _FileScorer:
     scores: ScoreFile
     missing: str
 
-    def _row(self, track: Track, index: int) -> np.ndarray:
+    def score_frame(self, track: Track, index: int) -> np.ndarray:
         frame = track.detections[index].frame
         probs = self.scores.get(track.track_id, frame)
         if probs is None:
@@ -426,9 +439,6 @@ class FileFrameScorer(_FileScorer):
     def __init__(self, path: str | Path, width: int | None = None):
         self.scores = ScoreFile(path, "frame", "probs", width)
 
-    def score_frame(self, track: Track, index: int) -> np.ndarray:
-        return self._row(track, index)
-
 
 class FileTeamScorer(_FileScorer):
     """Team distributions from ``{"track_id", "frame", "team_probs"}`` lines."""
@@ -437,9 +447,6 @@ class FileTeamScorer(_FileScorer):
 
     def __init__(self, path: str | Path):
         self.scores = ScoreFile(path, "frame", "team_probs", width=len(TeamLabel))
-
-    def score_frame(self, track: Track, index: int) -> np.ndarray:
-        return self._row(track, index)
 
 
 class FileWindowScorer(_FileScorer):
@@ -454,5 +461,5 @@ class FileWindowScorer(_FileScorer):
         self.scores = ScoreFile(path, "window_start", "probs", width)
 
     def score_window(self, track: Track, start: int, length: int) -> np.ndarray:
-        return self._row(track, start)
+        return self.score_frame(track, start)
 

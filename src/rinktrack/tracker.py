@@ -61,7 +61,7 @@ class TrackerParams:
 
 def box_corners(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """Boxes as an (n, 4) array of [x, y, x2, y2] rows."""
-    return np.array([[b.x, b.y, b.x2, b.y2] for b in boxes]).reshape(-1, 4)
+    return np.array([(b.x, b.y, b.x + b.w, b.y + b.h) for b in boxes]).reshape(-1, 4)
 
 
 def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,12 +290,18 @@ class SortTracker:
 def track(frames: Mapping[int, Sequence[Detection]], params: TrackerParams | None = None) -> list[Track]:
     """Run the tracker over per-frame detection lists.
 
-    Frame indices absent from the mapping are treated as empty frames,
-    so gaps age tracks the same way a real video would.
+    Frame indices absent from the mapping, between its first and last, are
+    treated as empty frames, so gaps age tracks the same way a real video
+    would. Once no track is live an empty frame only counts towards
+    ``min_hits``' grace period, so the rest of a gap is counted, not stepped.
     """
     tracker = SortTracker(params)
-    if frames:
-        lo, hi = min(frames), max(frames)
-        for f in range(lo, hi + 1):
-            tracker.step(f, frames.get(f, ()))
+    empty = min(frames, default=0)  # the first frame not yet stepped
+    for f in sorted(frames):
+        while empty < f and tracker._live:
+            tracker.step(empty, ())
+            empty += 1
+        tracker._frames_seen += f - empty
+        tracker.step(f, frames[f])
+        empty = f + 1
     return tracker.finish()

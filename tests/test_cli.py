@@ -484,6 +484,7 @@ class TestInputFiles:
         ("vocab.json", [1, 1.5], "vocabulary entries must be integers, got 1.5"),
         ("vocab.json", {"labels": [1]}, "vocabulary must be a list of integers"),
         ("vocab.json", [1, 1], "duplicate jersey labels: [1]"),
+        ("vocab.json", [], "vocabulary must hold at least one jersey number"),
         ("rosters.json", {"home": ["x"], "away": [4]}, "home roster entries must be integers, got 'x'"),
         ("rosters.json", {"home": [1], "away": 4}, "away roster must be a list of integers, got 4"),
         ("truth.json", {"track": {}}, 'truth file must be an object with a "tracks" object'),

@@ -19,6 +19,7 @@ from rinktrack.core import (
     ValidationError,
     build_roster_vector,
     default_vocabulary,
+    first_bad_row,
     parse_detection_file,
     parse_detection_rows,
     rows_to_tracks,
@@ -320,6 +321,10 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match=f"^jersey label must be .*, got {re.escape(bad)}$"):
             ClassVocabulary(labels=labels)
 
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(ValidationError, match="^vocabulary must hold at least one jersey number$"):
+            ClassVocabulary(labels=())
+
     def test_numpy_integer_labels_accepted(self):
         vocab = ClassVocabulary(labels=(np.int64(7), 9))
         assert vocab.index_of(7) == 0
@@ -357,10 +362,53 @@ class TestProbVector:
         with pytest.raises(ValidationError, match="finite"):
             ProbVector(values=np.array([np.nan, 0.25, 0.25, 0.25]))
 
+    def test_rejects_zero_width_on_its_sum(self):
+        with pytest.raises(ValidationError, match=r"^probabilities must sum to 1 within 1e-06, got 0\.0$"):
+            ProbVector(values=np.array([]))
+
     def test_values_frozen(self):
         p = ProbVector(values=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             p.values[0] = 1.0
+
+
+def reference_first_bad_row(rows):
+    """The distribution rule one Python float at a time: (row, kind) or None."""
+    for i, row in enumerate(rows):
+        if not all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in row):
+            return i, "range"
+        if not abs(sum(row) - 1.0) <= 1e-6:  # left to right, as numpy sums rows this short
+            return i, "sum"
+    return None
+
+
+entries = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.25, 1.5, math.nan, math.inf, -math.inf]))
+
+
+class TestFirstBadRow:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.one_of(st.lists(entries, min_size=width, max_size=width),
+                  st.integers(1, 9).map(lambda k: [1.0 / k] * k if width == k else [0.0] * width),
+                  st.just([1.0] + [0.0] * (width - 1) if width else [])),
+        max_size=6)))
+    def test_matches_reference(self, rows):
+        width = len(rows[0]) if rows else 0
+        got = first_bad_row(np.array(rows, dtype=float).reshape(len(rows), width))
+        want = reference_first_bad_row(rows)
+        assert (got and (got[0], "sum" if got[1].startswith("probabilities must sum") else "range")) == want
+
+    def test_reasons(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.6], [np.nan, 1.0]])
+        assert first_bad_row(rows) == (1, "probabilities must sum to 1 within 1e-06, got 1.1")
+        assert first_bad_row(rows[2:]) == (0, "probability entries must be finite and lie in [0, 1]")
+        assert first_bad_row(rows[:1]) is None
+        assert first_bad_row(np.zeros((0, 3))) is None
+
+    def test_zero_width_row_fails_on_its_sum(self):
+        assert first_bad_row(np.zeros((2, 0))) == (
+            0, "probabilities must sum to 1 within 1e-06, got 0.0")
 
 
 class TestRosterVector:

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from rinktrack.ident import (
     FileWindowScorer,
     IdentParams,
     Rosters,
+    ScoreFile,
     ScorerCoverageError,
     Scorers,
     aggregate,
@@ -99,6 +103,31 @@ class TestTeamVote:
         scorer = ArrayFrameScorer(team_rows(labels))
         assert team_vote(make_track(length=2), scorer) is TeamLabel.HOME
 
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 0.5, 0.5], "probability entries must be finite and lie in"),
+        ([2.0, -1.0, 0.0], "probability entries must be finite and lie in"),
+        ([0.5, 0.5, 0.1], "probabilities must sum to 1"),
+        ([0.5, 0.5], r"expected 3 probabilities, got shape \(2,\)"),
+    ])
+    def test_bad_row_names_track_and_row(self, bad, message):
+        rows = team_rows([(TeamLabel.AWAY, 0.8)] * 3)
+        rows[1] = bad
+        with pytest.raises(ValidationError,
+                           match=rf"^team score row 1 of track 4 \(frame 11\): {message}"):
+            team_vote(make_track(track_id=4, length=3, start=10), ArrayFrameScorer(rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 1000)),
+                    min_size=1, max_size=12))
+    def test_matches_a_row_at_a_time_vote(self, weights):
+        rows = [np.array(w, dtype=float) / sum(w) for w in weights]
+        counts, confidence = [0] * 3, [0.0] * 3
+        for row in rows:
+            counts[int(np.argmax(row))] += 1
+            confidence[int(np.argmax(row))] += float(row.max())
+        want = max(TeamLabel, key=lambda label: (counts[label.value], confidence[label.value]))
+        assert team_vote(make_track(length=len(rows)), ArrayFrameScorer(rows)) is want
+
 
 class TestWindowProbs:
     def test_k32_n30_gives_three_windows(self):
@@ -151,6 +180,31 @@ class TestJerseyVisible:
     def test_boundary_is_strict(self):
         scorer = ArrayFrameScorer(frame_rows_with_null([0.01]))
         assert jersey_visible(make_track(length=1), scorer, theta=0.01) is False
+
+    @pytest.mark.parametrize("null", [np.nan, -3.0, 1.5])
+    def test_bad_null_probability_rejected(self, null):
+        rows = frame_rows_with_null([0.5, 0.5, 0.5])
+        rows[2][-1] = null
+        with pytest.raises(ValidationError, match=r"^frame score row 2 of track 3 \(frame 2\): "
+                                                  "probability entries must be finite"):
+            jersey_visible(make_track(track_id=3, length=3), ArrayFrameScorer(rows), theta=0.01)
+
+    def test_rows_are_read_up_to_the_first_visible_frame(self):
+        rows = frame_rows_with_null([0.5, 0.005, 0.5]) + [np.array([np.nan] * 4)]
+        scorer = ArrayFrameScorer(rows)
+        calls = []
+        scorer.score_frame = lambda track, index: calls.append(index) or rows[index]
+        assert jersey_visible(make_track(length=4), scorer, theta=0.01) is True
+        assert calls == [0, 1]
+        rows[0] = np.array([0.2, 0.2, 0.2, 0.5])  # read before the visible frame: checked
+        with pytest.raises(ValidationError, match="^frame score row 0 of track 1 .*sum to 1"):
+            jersey_visible(make_track(length=4), scorer, theta=0.01)
+
+    def test_rows_of_two_widths_rejected(self):
+        rows = frame_rows_with_null([0.5, 0.5]) + frame_rows_with_null([0.5], n_classes=3)
+        with pytest.raises(ValidationError, match=r"^frame score row 2 .*expected 4 probabilities, "
+                                                  r"got shape \(3,\)"):
+            jersey_visible(make_track(length=3), ArrayFrameScorer(rows), theta=0.01)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
            st.sampled_from([0.0033, 0.01, 0.09, 0.81]))
@@ -655,6 +709,73 @@ class TestFileScorers:
         path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
         with pytest.raises(ValidationError, match=f"^{path}:3: duplicate key .*first on line 2"):
             FileFrameScorer(path)
+
+
+def read_in_thread(path, *args):
+    """ScoreFile(path, *args) in a daemon thread: its error, or a failure after 10 s.
+
+    A reader that opened the file twice would block on a named pipe, whose
+    writer has gone; the daemon thread lets the test fail instead of hang.
+    """
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(ScoreFile(path, *args))
+        except (ParseError, ValidationError) as exc:
+            outcome.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive(), f"reading {path} had not finished after 10 s"
+    return outcome[0]
+
+
+class TestOnePassRead:
+    """A score file is read once: a named pipe names the bad line, and line
+    numbers count the blank lines skipped on the way."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.6]], "probabilities must sum to 1"),
+        ([[0.5, 0.5], [0.25, 0.75]], r"duplicate key track_id 1, frame 0 \(first on line 3\)"),
+    ])
+    def test_named_pipe(self, tmp_path, rows, message):
+        pipe = tmp_path / "scores.pipe"
+        os.mkfifo(pipe)
+        text = "\n\n" + "".join(json.dumps({"track_id": 1, "frame": 0, "probs": probs}) + "\n\n"
+                                  for probs in rows)
+        # Opening a pipe to write blocks until it is opened to read.
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        error = read_in_thread(pipe, "frame", "probs")
+        assert isinstance(error, ValidationError)
+        assert re.match(rf"^{pipe}:{1 + 2 * len(rows)}: {message}", str(error))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3),
+           st.lists(st.lists(st.sampled_from(["", " "]), max_size=2), min_size=1, max_size=8),
+           st.data())
+    def test_line_matches_enumerate(self, tmp_path_factory, before, gaps, data):
+        """A bad value, and a repeated key, are named at the line enumerate gives them."""
+        lines = list(before)
+        for frame, gap in enumerate(gaps):
+            lines.append(json.dumps({"track_id": 1, "frame": frame, "probs": [0.5, 0.5]}))
+            lines += gap
+        records = [n for n, line in enumerate(lines, 1) if line.strip()]
+        path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+        bad = data.draw(st.integers(0, len(records) - 1))
+        cases = [([0.5, 0.6], bad, "probabilities must sum")]
+        if bad:  # the first record has no earlier key to repeat
+            cases.append(([0.5, 0.5], 0, rf"duplicate key .* \(first on line {records[0]}\)"))
+        for probs, frame, message in cases:
+            changed = list(lines)
+            changed[records[bad] - 1] = json.dumps({"track_id": 1, "frame": frame, "probs": probs})
+            path.write_text("\n".join(changed) + "\n")
+            with pytest.raises(ValidationError, match=f"^{path}:{records[bad]}: {message}"):
+                ScoreFile(path, "frame", "probs")
 
 
 class TestRunPipeline:

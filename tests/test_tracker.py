@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,6 +360,27 @@ def _merge(*per_object):
     return frames
 
 
+def track_every_frame(frames, params):
+    """Reference: step every frame from the first to the last, empty ones included."""
+    tracker = SortTracker(params)
+    if frames:
+        for f in range(min(frames), max(frames) + 1):
+            tracker.step(f, frames.get(f, ()))
+    return tracker.finish()
+
+
+@st.composite
+def sparse_frames(draw):
+    """Frames 1-40 apart, each holding 0-3 boxes on four lanes with a little jitter."""
+    frames, f = {}, draw(st.integers(0, 5))
+    for gap in [0] + draw(st.lists(st.integers(1, 40), max_size=12)):
+        f += gap
+        lanes = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+        frames[f] = [Detection(f, BoundingBox(40.0 * lane + draw(st.floats(0.0, 8.0)), 0.0, 10.0, 10.0),
+                               1.0) for lane in lanes]
+    return frames
+
+
 class TestTrackLifecycle:
     def test_single_object_single_track(self):
         frames = _merge(_moving_object(0, 0, 100, dx=3.0))
@@ -421,6 +443,21 @@ class TestTrackLifecycle:
 
     def test_empty_input(self):
         assert track({}, TrackerParams()) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_frames(), st.integers(0, 10), st.integers(0, 4))
+    def test_gaps_match_stepping_every_frame(self, frames, max_age, min_hits):
+        params = TrackerParams(max_age=max_age, min_hits=min_hits)
+        assert track(frames, params) == track_every_frame(frames, params)
+
+    def test_long_gap_returns_at_once(self):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        frames = {0: [Detection(0, box, 1.0)], 10**9: [Detection(10**9, box, 1.0)]}
+        start = time.perf_counter()
+        tracks = track(frames, TrackerParams(min_hits=1))
+        assert time.perf_counter() - start < 1.0
+        # The gap counts towards min_hits' grace period: the new track is not reported.
+        assert [t.frames for t in tracks] == [[0]]
 
     @pytest.mark.parametrize("second", [4, 3])
     def test_step_rejects_frame_not_after_previous(self, second):

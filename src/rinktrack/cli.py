@@ -439,7 +439,7 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
 def _seed(text: str) -> int:
     """``--seed``: an integer >= 0, as numpy's generators take."""
     try:
-        value = int(text)
+        value = int(text) if text.isascii() and "_" not in text else None
     except ValueError:
         value = None
     if value is None or value < 0:

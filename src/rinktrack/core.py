@@ -245,6 +245,8 @@ def first_bad_row(values: np.ndarray) -> tuple[int, str] | None:
     """
     in_range = ((np.minimum.reduce(values, axis=1, initial=1.0) >= 0.0)
                 & (np.maximum.reduce(values, axis=1, initial=0.0) <= 1.0))
+    if np.count_nonzero(in_range) < len(in_range):  # a row's inf + -inf would warn in the sum
+        values = np.where(in_range[:, None], values, 0.0)
     ok = in_range & (abs(np.add.reduce(values, axis=1) - 1.0) <= PROB_SUM_TOL)  # NaN fails all
     if np.count_nonzero(ok) == len(ok):  # all() costs three times as much on one row
         return None
@@ -341,6 +343,8 @@ def parse_detection_rows(text: str) -> list[Row]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ParseError(f"line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
+        if "_" in line or not line.isascii():  # int() and float() take 1_0 and non-ASCII digits
+            raise ParseError(f"line {lineno}: numbers must be ASCII without underscores")
         try:
             frame = int(parts[0])
             track_id = int(parts[1])

@@ -337,12 +337,10 @@ class ScoreFile:
     def __init__(self, path: str | Path, key_field: str, probs_field: str,
                  width: int | None = None):
         self.path = Path(path)
-        values, keys = array("d"), array("q")
-        self._blanks: list[int] = []  # the skipped lines' numbers, for _line
+        values, keys, linenos = array("d"), array("q"), array("q")  # linenos: each row's line
         with self.path.open("rb") as lines:
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
-                    self._blanks.append(lineno)
                     continue
                 where = f"{self.path}:{lineno}"
                 try:
@@ -367,6 +365,7 @@ class ScoreFile:
                 if packed is None:
                     raise ParseError(f"{where}: track_id or {key_field} out of range")
                 keys.append(packed)
+                linenos.append(lineno)
         self.width = width or 0
         self.values = np.frombuffer(values, dtype=float).reshape(len(keys), self.width)
         self.values.flags.writeable = False
@@ -385,21 +384,12 @@ class ScoreFile:
             track_id, key = divmod(int(sorted_keys[i]), _KEY_LIMIT)
             repeat_problem = (int(self._rows[i + 1]),
                               f"duplicate key track_id {track_id}, {key_field} {key} "
-                              f"(first on line {self._line(int(self._rows[i]))})")
+                              f"(first on line {linenos[self._rows[i]]})")
         problems = [p for p in (value_problem, repeat_problem) if p is not None]
         if problems:
             row, reason = min(problems)
-            raise ValidationError(f"{self.path}:{self._line(row)}: {reason}")
+            raise ValidationError(f"{self.path}:{linenos[row]}: {reason}")
         self._keys = keys
-
-    def _line(self, row: int) -> int:
-        """1-based line number of the ``row``-th non-blank line."""
-        line = row + 1
-        for blank in self._blanks:  # ascending: each one at or before the line pushes it down
-            if blank > line:
-                break
-            line += 1
-        return line
 
     def get(self, track_id: int, key: int) -> np.ndarray | None:
         """The row keyed ``(track_id, key)``, or None when the file has none."""

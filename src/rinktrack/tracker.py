@@ -227,9 +227,26 @@ class SortTracker:
         self._last_frame: int | None = None
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
-        if self._last_frame is not None and frame <= self._last_frame:
-            raise ValidationError(
-                f"frame {frame} does not follow the previous frame {self._last_frame}")
+        """Advance to ``frame`` and associate its detections.
+
+        Frames must increase and every detection must lie on ``frame``.
+        Frames skipped since the previous step are empty frames that age
+        live tracks, so gaps age tracks the same way a real video would.
+        Once no track is live an empty frame only counts towards
+        ``min_hits``' grace period, so the rest of a gap is counted, not stepped.
+        """
+        last = self._last_frame
+        if last is not None and frame <= last:
+            raise ValidationError(f"frame {frame} does not follow the previous frame {last}")
+        for det in detections:
+            if det.frame != frame:
+                raise ValidationError(f"detection on frame {det.frame} passed to step for frame {frame}")
+        if last is not None:
+            empty = last + 1  # the first skipped frame not yet stepped
+            while empty < frame and self._live:
+                self.step(empty, ())
+                empty += 1
+            self._frames_seen += frame - empty
         self._last_frame = frame
         params = self.params
         self._frames_seen += 1
@@ -288,20 +305,9 @@ class SortTracker:
 
 
 def track(frames: Mapping[int, Sequence[Detection]], params: TrackerParams | None = None) -> list[Track]:
-    """Run the tracker over per-frame detection lists.
-
-    Frame indices absent from the mapping, between its first and last, are
-    treated as empty frames, so gaps age tracks the same way a real video
-    would. Once no track is live an empty frame only counts towards
-    ``min_hits``' grace period, so the rest of a gap is counted, not stepped.
-    """
+    """Run the tracker over per-frame detection lists; frame indices absent
+    from the mapping are empty frames (see :meth:`SortTracker.step`)."""
     tracker = SortTracker(params)
-    empty = min(frames, default=0)  # the first frame not yet stepped
     for f in sorted(frames):
-        while empty < f and tracker._live:
-            tracker.step(empty, ())
-            empty += 1
-        tracker._frames_seen += f - empty
         tracker.step(f, frames[f])
-        empty = f + 1
     return tracker.finish()

@@ -96,12 +96,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("seed", ["-1", "1_0", "\u0661\u0662"])  # int() reads 10 and 12
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, command, seed):
         config = write_config(tmp_path / "config.json")
         with pytest.raises(SystemExit) as exited:
-            main([command, "--config", str(config), "--seed", "-1", "--out", str(tmp_path / "out")])
+            main([command, "--config", str(config), "--seed", seed, "--out", str(tmp_path / "out")])
         assert exited.value.code == 2
-        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])

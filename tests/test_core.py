@@ -170,7 +170,8 @@ _TOKEN = st.one_of(
     st.floats(-1e4, 1e4).map(repr),
     st.floats().map(repr),  # inf and nan included
     st.sampled_from(["", "-0", "+3", "007", " 7 ", "1 2", "1.5", "1e3", "0x1", ".", "1.", ".5",
-                     "1e", "-", "--1", "1..2", "+inf", "Infinity", "infinit", "NaN", "oops"]))
+                     "1e", "-", "--1", "1..2", "+inf", "Infinity", "infinit", "NaN", "oops",
+                     "1_0", "1_0.5", "\u0661", "\u0660.\u0665"]))
 # Well-formed values at and beyond each column's bounds (frame, id, x, y, w, h, conf).
 _EDGES = [
     ["-1", "-2", "0", "+0"],
@@ -254,6 +255,13 @@ class TestDetectionFile:
             with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: "):
                 parse_detection_file(path)
         assert len(parse_detection_rows(f"0,-1,1,2,3,4,0.5{char}\n1,-1,1,2,3,4,0.5\n")) == 2
+
+    # int() and float() would read these as 10, 1, 1.5 and 0.5.
+    @pytest.mark.parametrize("line", ["1_0,-1,10,20,30,40,0.9", "\u0661,-1,10,20,30,40,0.9",
+                                      "1,-1,1_0.5,20,30,40,0.9", "1,-1,10,20,30,40,\u0660.\u0665"])
+    def test_underscore_or_non_ascii_number_rejected(self, line):
+        with pytest.raises(ParseError, match="^line 2: numbers must be ASCII without underscores$"):
+            parse_detection_rows(f"0,-1,1,2,3,4,0.5\n{line}\n")
 
     @pytest.mark.parametrize("line", ["1,-1,10,20,30,40,0.9,junk", "1,-1,10,20,30,40,0.9,",
                                       "1,-1,10,20,30,40,0.9,0.5,0.5"])

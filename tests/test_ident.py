@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -692,6 +693,16 @@ class TestFileScorers:
                         + bad + "\n")
         with pytest.raises(error, match=f"^{path}:3: .*{message}"):
             cls(path)
+
+    def test_opposite_infinities_raise_without_warning(self, tmp_path):
+        # The row sum inf + -inf is an invalid value to numpy, which would warn.
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"track_id": 1, "frame": 0, "team_probs": [Infinity, -Infinity, 1.0]}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as raised:
+                FileTeamScorer(path)
+        assert str(raised.value) == f"{path}:1: probability entries must be finite and lie in [0, 1]"
 
     def test_first_bad_line_reported(self, tmp_path):
         path = tmp_path / "frames.jsonl"

@@ -446,9 +446,14 @@ class TestTrackLifecycle:
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_frames(), st.integers(0, 10), st.integers(0, 4))
+    # One box on frames 0, 1 and 20: the 18 empty frames retire its track.
+    @example({f: [Detection(f, BoundingBox(0.0, 0.0, 10.0, 10.0), 1.0)] for f in (0, 1, 20)}, 5, 3)
     def test_gaps_match_stepping_every_frame(self, frames, max_age, min_hits):
         params = TrackerParams(max_age=max_age, min_hits=min_hits)
-        assert track(frames, params) == track_every_frame(frames, params)
+        stepper = SortTracker(params)
+        for f in sorted(frames):  # only the detection frames: step itself fills the gaps
+            stepper.step(f, frames[f])
+        assert track(frames, params) == stepper.finish() == track_every_frame(frames, params)
 
     def test_long_gap_returns_at_once(self):
         box = BoundingBox(0.0, 0.0, 10.0, 10.0)
@@ -466,6 +471,16 @@ class TestTrackLifecycle:
         tracker.step(4, [Detection(4, box, 1.0)])
         with pytest.raises(ValidationError, match=f"frame {second} does not follow .* 4"):
             tracker.step(second, [Detection(second, box, 1.0)])
+        tracker.step(5, [Detection(5, box, 1.0)])  # the rejected call left no trace
+        [only] = tracker.finish()
+        assert only.frames == [4, 5]
+
+    def test_step_rejects_detection_on_another_frame(self):
+        tracker = SortTracker(TrackerParams(min_hits=1))
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tracker.step(4, [Detection(4, box, 1.0)])
+        with pytest.raises(ValidationError, match="^detection on frame 3 passed to step for frame 9$"):
+            tracker.step(9, [Detection(9, box, 1.0), Detection(3, box, 1.0)])
         tracker.step(5, [Detection(5, box, 1.0)])  # the rejected call left no trace
         [only] = tracker.finish()
         assert only.frames == [4, 5]

@@ -23,7 +23,7 @@ THETAS = (0.0033, 0.01, 0.03, 0.09, 0.27, 0.81)
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=cli._seed, default=0)
-    parser.add_argument("--scenarios", type=int, default=10)
+    parser.add_argument("--scenarios", type=cli._integer, default=10)
     args = parser.parse_args()
     if args.scenarios < 1:
         parser.error(f"--scenarios must be at least 1, got {args.scenarios}")

@@ -170,18 +170,32 @@ def cmd_track(config: RunConfig, out_dir: Path) -> int:
 _TEAMS = ("home", "away", "referee")
 
 
-def _expected_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
-    """Each track's expected class (see ``TrackTruth.expected_class``) from ``truth.json``."""
-    data = json.loads(text)
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key that ``json`` would drop."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"key {key!r} is given twice in one object")
+    return obj
+
+
+def _truth_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
+    """Each ground-truth id's expected class (see ``TrackTruth.expected_class``) from
+    ``truth.json``. A key is an optional ``-`` and ASCII digits, one key per id."""
+    data = json.loads(text, object_pairs_hook=_distinct_keys)
     tracks = data.get("tracks") if isinstance(data, dict) else None
     if not isinstance(tracks, dict):
         raise ParseError('truth file must be an object with a "tracks" object')
-    expected = {}
+    expected, keys = {}, {}
     for key, row in tracks.items():
-        try:
-            track_id = int(key)
-        except ValueError:
-            raise ParseError(f"track {key!r}: track ids must be integers") from None
+        if not (key.isascii() and key.removeprefix("-").isdigit()):
+            raise ParseError(f"track {key!r}: track ids must be integers: ASCII digits "
+                             f"after an optional '-'")
+        track_id = int(key)
+        if track_id in keys:
+            raise ParseError(f"tracks {keys[track_id]!r} and {key!r} both name track {track_id}")
+        keys[track_id] = key
         where = f"track {track_id}"
         if not isinstance(row, dict) or row.get("team") not in _TEAMS:
             raise ParseError(f"{where}: team must be one of {', '.join(_TEAMS)}")
@@ -197,6 +211,28 @@ def _expected_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     return expected
+
+
+def _ground_truth(config: RunConfig, vocab: core.ClassVocabulary,
+                  bundle: sim.GroundTruthBundle | None
+                  ) -> tuple[sim.GroundTruthIndex, dict[int, int]] | None:
+    """The owner index and each id's expected class that accuracy scores against:
+    ``bundle``'s, else from ``paths.truth`` and ``paths.gt``; None without ``paths.truth``."""
+    if bundle is not None:
+        return bundle.gt_index, bundle.classes()
+    truth_path = config.path("truth", required=False)
+    if truth_path is None:
+        return None
+    if config.paths.get("gt") is None:
+        raise ConfigError("paths.truth needs paths.gt: accuracy scores each tracklet against "
+                          "the ground-truth track that owns most of its boxes")
+    classes = core.read_input(truth_path, lambda text: _truth_classes(text, vocab))
+    index = sim.GroundTruthIndex(_eval_rows(config.path("gt")))
+    missing = sorted(set(index.ids.tolist()) - classes.keys())
+    if missing:
+        raise ValidationError(f"{truth_path}: no entry for track {missing[0]} of "
+                              f"{config.path('gt')}")
+    return index, classes
 
 
 def _jersey_of(identity: int, vocab: core.ClassVocabulary):
@@ -218,22 +254,24 @@ def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: s
     """Identify every tracklet in one pass and write ``identities.json``.
 
     Scores come from the run's score files, or from ``bundle``'s oracles
-    when given. Returns the accuracy of each arm against the bundle's
-    ground-truth owners, else against ``paths.truth`` (None without either).
+    when given. Returns the accuracy of each arm: each tracklet owned by
+    ground truth is scored against the expected class of its majority
+    owner (see ``_ground_truth``; None without ground truth).
     """
     path = config.path("tracks")
+    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
+    # Read before the tracks and matched before the score files, so that both reuse
+    # the memory the ground truth's parse frees.
+    truth = _ground_truth(config, vocab, bundle)
     rows = _tracked_rows(path)
     tracks = core.rows_to_tracks(rows)  # raw detections (id -1) are skipped
     if rows and not tracks:
         raise ValidationError(f"{path}: no row has a track id (>= 0); raw detections carry -1, "
                               f"so identify needs a tracker's output")
-    vocab = core.ClassVocabulary.from_json(config.path("vocab"))
-    expected = None
+    expected = None if truth is None else sim.expected_classes(tracks, *truth)
     if bundle is not None:
         # The oracles score any tracklet; the bundle's score files cover ground-truth ids only.
         scorers = sim.oracle_scorers(bundle)
-        expected = {trk.track_id: want for trk in tracks
-                    if (want := bundle.expected_class(trk)) is not None}
     else:
         # Jersey-score rows must have one entry per vocabulary class.
         scorers = Scorers(
@@ -241,9 +279,6 @@ def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: s
             frame=FileFrameScorer(config.path("frame_scores"), vocab.num_classes),
             window=FileWindowScorer(config.path("window_scores"), vocab.num_classes),
         )
-        truth_path = config.path("truth", required=False)
-        if truth_path is not None:
-            expected = core.read_input(truth_path, lambda text: _expected_classes(text, vocab))
 
     params = config.ident if method is None else replace(config.ident, method=method)
     rosters = Rosters(*core.load_rosters(config.path("rosters"), vocab)) if mask_rosters else None
@@ -421,7 +456,8 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
         bundle = cmd_simulate(config, seed, out_dir / "bundle")
         paths.update({name: str(out_dir / "bundle" / file)
                       for name, file in sim.BUNDLE_FILES.items()})
-    # truth.json is keyed by ground-truth id; these tracklets come from the tracker.
+    # A run from files reports no accuracy: its score files cover ground-truth ids, not
+    # the tracker's tracklets.
     paths.update(tracks=str(out_dir / "tracks.csv"), truth=None)
     run = replace(config, paths=paths, videos=[])
 
@@ -436,15 +472,22 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
 # ---------------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """``--seed``: an integer >= 0, as numpy's generators take."""
+def _integer(text: str, low: int | None = None) -> int:
+    """An integer argument in ASCII without underscores (int() alone reads ``1_0`` as 10
+    and takes non-ASCII digits), and at least ``low`` when given."""
     try:
         value = int(text) if text.isascii() and "_" not in text else None
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if value is None or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise argparse.ArgumentTypeError(f"must be an integer{bound}, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, as numpy's generators take."""
+    return _integer(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -353,6 +353,8 @@ def parse_detection_rows(text: str) -> list[Row]:
             raise ParseError(f"line {lineno}: {exc}") from None
         if frame < 0:
             raise ParseError(f"line {lineno}: frame index must be >= 0, got {frame}")
+        if frame >= 2**63 or not -2**63 <= track_id < 2**63:  # read into int64 arrays
+            raise ParseError(f"line {lineno}: frame and id must fit in 64 bits")
         try:
             det = Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf)
         except ValidationError as exc:

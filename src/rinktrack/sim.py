@@ -15,11 +15,11 @@ import gc
 import json
 import math
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .core import (
     save_rosters,
 )
 from .ident import REFEREE_CLASS, Scorers, window_starts
-from .tracker import box_corners, iou_corners
+from .tracker import box_corners, iou_corners, iou_pairs
 
 # Salts separating the per-purpose random streams.
 _MOTION, _NOISE, _VISIBILITY, _FRAME, _TEAM, _WINDOW, _ROSTER = range(7)
@@ -205,6 +205,84 @@ class PanGap:
         return self.next_frame - self.prev_frame
 
 
+NO_OWNER = -1  # a detection's owner where no ground truth owns it; ids are >= 0
+_OWNER_CHUNK = 256  # detections per step of GroundTruthIndex.owners
+
+
+class GroundTruthIndex:
+    """Ground-truth rows as one table sorted by frame, and the owner rule: a box's
+    owner is the id of its frame's row with the best IoU, if that is at least
+    ``min_iou``; of equal IoUs, the row given first (``gt.csv`` or ``gt_tracks`` order)."""
+
+    def __init__(self, rows: Sequence[core.Row]):
+        frames = np.fromiter((d.frame for _, d in rows), dtype=np.int64, count=len(rows))
+        ids = np.fromiter((tid for tid, _ in rows), dtype=np.int64, count=len(rows))
+        # One stable sort by frame keeps each frame's rows in the given order.
+        order = np.argsort(frames, kind="stable")
+        self.frames, self.ids = frames[order], ids[order]
+        self.corners = box_corners([d.box for _, d in rows])[order]
+
+    def owner(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
+        """One box's owner, or None: the single-box reference for ``owners``."""
+        lo, hi = self.frames.searchsorted(frame), self.frames.searchsorted(frame, "right")
+        if lo == hi:
+            return None
+        overlap = iou_corners(box_corners([box]), self.corners[lo:hi])[0]
+        best = int(np.argmax(overlap))
+        return int(self.ids[lo + best]) if overlap[best] >= min_iou else None
+
+    def owners(self, dets: Sequence[Detection], min_iou: float = 0.2) -> np.ndarray:
+        """Every detection's owner (``NO_OWNER`` where none) in one pass over
+        (detection, row of its frame) pairs; ``owner`` gives the same box by box."""
+        owners = np.full(len(dets), NO_OWNER, dtype=np.int64)
+        # Chunks keep the pair arrays near a megabyte whatever the input size: chunks of
+        # 1024 detections raised staged identify's peak RSS by several MB.
+        for start in range(0, len(dets), _OWNER_CHUNK):
+            chunk = dets[start:start + _OWNER_CHUNK]
+            frames = np.fromiter((d.frame for d in chunk), dtype=np.int64, count=len(chunk))
+            lo = np.searchsorted(self.frames, frames, "left")
+            size = np.searchsorted(self.frames, frames, "right") - lo
+            query = np.repeat(np.arange(len(chunk)), size)  # each pair's detection
+            head = np.cumsum(size) - size  # each detection's first pair
+            row = np.arange(len(query)) + np.repeat(lo - head, size)  # each pair's row
+            # np.take, not fancy indexing: the same rows in a tenth of the time.
+            overlap = iou_pairs(np.take(box_corners([d.box for d in chunk]), query, axis=0),
+                                np.take(self.corners, row, axis=0))
+            # A segmented first argmax over the detections with rows on their frame:
+            # each one's best IoU, then the first of its pairs that holds it.
+            matched = np.flatnonzero(size)
+            best = np.maximum.reduceat(overlap, head[matched])
+            at_best = overlap == np.repeat(best, size[matched])
+            first = np.minimum.reduceat(np.where(at_best, np.arange(len(overlap)), len(overlap)),
+                                        head[matched])
+            won = best >= min_iou
+            owners[start + matched[won]] = self.ids[row[first[won]]]
+        return owners
+
+
+def majority(owners: Iterable[int]) -> int | None:
+    """The id owning the most entries, ties going to the smaller; None when no
+    entry is owned (every one is ``NO_OWNER``)."""
+    counts = Counter(owners)
+    counts.pop(NO_OWNER, None)
+    return min(counts, key=lambda o: (-counts[o], o), default=None)
+
+
+def expected_classes(tracks: Sequence[Track], index: GroundTruthIndex,
+                     classes: Mapping[int, int]) -> dict[int, int]:
+    """Each tracklet's expected identification output: ``classes`` of the
+    ground-truth id owning most of its detections. Tracklets that no ground
+    truth owns are left out."""
+    owners = index.owners([d for trk in tracks for d in trk.detections]).tolist()
+    expected, end = {}, 0
+    for trk in tracks:
+        start, end = end, end + len(trk)
+        gt_id = majority(owners[start:end])
+        if gt_id is not None:
+            expected[trk.track_id] = classes[gt_id]
+    return expected
+
+
 @dataclass
 class GroundTruthBundle:
     config: ScenarioConfig
@@ -219,68 +297,47 @@ class GroundTruthBundle:
     detections: list[tuple[int, Detection]]
 
     def __post_init__(self) -> None:
-        # The ground-truth table (``_index_frames``), built on the first lookup
-        # so runs that never match boxes never pay for it.
-        self._gt_table: tuple[list[int], list[int], np.ndarray, np.ndarray] | None = None
+        # The ground-truth table, built on the first lookup so runs that never
+        # match boxes never pay for it.
+        self._gt_index: GroundTruthIndex | None = None
         # Each detection's (owner, number shown), matched on its first lookup.
         # Keys are values, so equal detections of any tracklet share an entry.
-        self._owners: dict[Detection, tuple[int | None, bool]] = {}
-
-    def _index_frames(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-        """Ground truth as one table sorted by frame, each frame's rows in ``gt_tracks``
-        order: the distinct frames, the row where each starts (then the row count),
-        and the rows' ids and corners."""
-        rows = [d for trk in self.gt_tracks for d in trk.detections]
-        frames = np.fromiter((d.frame for d in rows), dtype=np.int64, count=len(rows))
-        ids = np.repeat(np.array([trk.track_id for trk in self.gt_tracks], dtype=np.int64),
-                        [len(trk) for trk in self.gt_tracks])
-        # One stable sort by frame keeps each frame's rows in track order.
-        order = np.argsort(frames, kind="stable")
-        starts = np.flatnonzero(np.diff(frames[order], prepend=-1))
-        return (frames[order[starts]].tolist(), [*starts.tolist(), len(rows)], ids[order],
-                box_corners([d.box for d in rows])[order])
+        self._owners: dict[Detection, tuple[int, bool]] = {}
 
     # -- ground-truth lookups -------------------------------------------------
 
+    @property
+    def gt_index(self) -> GroundTruthIndex:
+        """``gt_tracks`` as a :class:`GroundTruthIndex`, rows in ``gt_tracks`` order."""
+        if self._gt_index is None:
+            self._gt_index = GroundTruthIndex(
+                [(trk.track_id, d) for trk in self.gt_tracks for d in trk.detections])
+        return self._gt_index
+
+    def classes(self) -> dict[int, int]:
+        """Each ground-truth id's expected class (see ``TrackTruth.expected_class``)."""
+        return {tid: t.expected_class(self.vocab) for tid, t in self.truth.items()}
+
     def match_gt(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
         """Ground-truth track owning a box at a frame, by best IoU."""
-        if self._gt_table is None:
-            self._gt_table = self._index_frames()
-        frames, starts, ids, corners = self._gt_table
-        i = bisect_left(frames, frame)
-        if i == len(frames) or frames[i] != frame:
-            return None
-        lo = starts[i]
-        overlap = iou_corners(box_corners([box]), corners[lo:starts[i + 1]])[0]
-        best = int(np.argmax(overlap))
-        return int(ids[lo + best]) if overlap[best] >= min_iou else None
+        return self.gt_index.owner(frame, box, min_iou)
 
-    def _owner(self, det: Detection) -> tuple[int | None, bool]:
-        """``det``'s ``match_gt`` owner and whether its number shows for that owner."""
+    def _owner(self, det: Detection) -> tuple[int, bool]:
+        """``det``'s ``match_gt`` owner (``NO_OWNER`` where none) and whether its number
+        shows for that owner."""
         entry = self._owners.get(det)
         if entry is None:
             owner = self.match_gt(det.frame, det.box)
-            shown = owner is not None and det.frame in self.visible_frames.get(owner, ())
+            if owner is None:
+                owner = NO_OWNER
+            shown = owner != NO_OWNER and det.frame in self.visible_frames.get(owner, ())
             entry = self._owners[det] = (owner, shown)
         return entry
-
-    def _majority(self, dets: Sequence[Detection]) -> tuple[int | None, int]:
-        """The id owning the most of ``dets`` (ties go to the smaller id; None when
-        none is owned) and how many of them show their own owner's number."""
-        counts: dict[int, int] = {}
-        visible = 0
-        for det in dets:
-            owner, shown = self._owner(det)
-            if owner is not None:
-                counts[owner] = counts.get(owner, 0) + 1
-            visible += shown
-        return min(counts, key=lambda o: (-counts[o], o), default=None), visible
 
     def expected_class(self, track: Track) -> int | None:
         """Expected identification output for a tracklet (class index or referee sentinel),
         from its majority ground-truth owner; None when no ground truth owns it."""
-        gt_id, _ = self._majority(track.detections)
-        return None if gt_id is None else self.truth[gt_id].expected_class(self.vocab)
+        return expected_classes([track], self.gt_index, self.classes()).get(track.track_id)
 
     # -- oracle scorers -------------------------------------------------------
 
@@ -366,7 +423,7 @@ class OracleFrameScorer:
         det = track.detections[index]
         gt_id, shown = bundle._owner(det)
         probs = np.zeros(bundle.vocab.num_classes)
-        if gt_id is None:
+        if gt_id == NO_OWNER:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         rng = bundle._rng(_FRAME, gt_id, det.frame)
@@ -392,10 +449,10 @@ class OracleTeamScorer:
         bundle = self.bundle
         det = track.detections[index]
         gt_id, _ = bundle._owner(det)
-        chosen = 0 if gt_id is None else _TEAM_SLOT[bundle.truth[gt_id].team]
+        chosen = 0 if gt_id == NO_OWNER else _TEAM_SLOT[bundle.truth[gt_id].team]
         noise = bundle.config.team_noise
         if noise > 0:
-            rng = bundle._rng(_TEAM, gt_id if gt_id is not None else -1, det.frame)
+            rng = bundle._rng(_TEAM, gt_id, det.frame)
             if rng.random() < noise:
                 chosen = int(rng.choice([c for c in range(3) if c != chosen]))
         probs = np.full(3, 0.05)
@@ -421,13 +478,14 @@ class OracleWindowScorer:
         bundle = self.bundle
         vocab = bundle.vocab
         dets = track.detections[start:start + length]
-        gt_id, visible = bundle._majority(dets)
+        owners, shown = zip(*map(bundle._owner, dets))
+        gt_id = majority(owners)
         probs = np.zeros(vocab.num_classes)
         if gt_id is None:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         truth = bundle.truth[gt_id]
-        vis_frac = visible / len(dets)
+        vis_frac = sum(shown) / len(dets)
 
         if truth.team == "referee" or truth.jersey is None or vis_frac == 0.0:
             probs[-1] = 0.85

@@ -64,15 +64,21 @@ def box_corners(boxes: Sequence[BoundingBox]) -> np.ndarray:
     return np.array([(b.x, b.y, b.x + b.w, b.y + b.h) for b in boxes]).reshape(-1, 4)
 
 
-def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two corner arrays, shape (len(a), len(b))."""
-    ix = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
-    iy = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner rows ``a[..., :]`` and ``b[..., :]``, element-wise over their
+    broadcast shape: every IoU in the package is this arithmetic."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     # np.maximum, not np.clip: the same values for a fraction of the call overhead.
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
+
+
+def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two corner arrays, shape (len(a), len(b))."""
+    return iou_pairs(a[:, None], b)
 
 
 def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:

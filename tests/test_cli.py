@@ -427,6 +427,60 @@ class TestIdentify:
         assert (f"error: {truth}: track {tid}: jersey number 99 not in vocabulary"
                 in capsys.readouterr().err)
 
+    def test_truth_without_gt_exits_2_naming_both_keys(self, workspace, capsys):
+        tmp_path, config, _ = workspace
+        data = json.loads(config.read_text())
+        del data["paths"]["gt"]
+        config.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "error: paths.truth needs paths.gt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ground_truth_id_missing_from_truth_exits_1_naming_both_files(self, workspace,
+                                                                         capsys):
+        tmp_path, config, bundle_dir = workspace
+        truth = bundle_dir / "truth.json"
+        data = json.loads(truth.read_text())
+        del data["tracks"]["2"]
+        truth.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {truth}: no entry for track 2 of {bundle_dir / 'gt.csv'}"
+                in capsys.readouterr().err)
+
+    def test_expected_classes_on_gt_are_the_bundles(self, workspace, monkeypatch):
+        tmp_path, config, bundle_dir = workspace
+        bundle = sim.generate(sim.ScenarioConfig.from_dict(SCENARIO), 5)
+        tracklets = core.rows_to_tracks(core.parse_detection_file(bundle_dir / "gt.csv"))
+        want = {t.track_id: bundle.expected_class(t) for t in tracklets}
+        staged = []
+        real = sim.expected_classes
+        monkeypatch.setattr(sim, "expected_classes",
+                            lambda *args: staged.append(real(*args)) or staged[-1])
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert staged == [want]
+
+    def test_permuted_ids_are_scored_by_their_ground_truth_owner(self, workspace):
+        tmp_path, config, bundle_dir = workspace
+        bundle = sim.generate(sim.ScenarioConfig.from_dict(SCENARIO), 5)
+        ids = sorted(trk.track_id for trk in bundle.gt_tracks)
+        assert len({tuple(trk.frames) for trk in bundle.gt_tracks}) == 1  # one frame span
+        # Each track takes the next one's id, so the score files still cover every id.
+        moved = dict(zip(ids, ids[1:] + ids[:1]))
+        rows = [(moved[tid], d) for tid, d in core.parse_detection_file(bundle_dir / "gt.csv")]
+        permuted = tmp_path / "permuted.csv"
+        core.save_detection_file(sorted(rows, key=lambda r: (r[1].frame, r[0])), permuted)
+        data = json.loads(config.read_text())
+        data["paths"]["tracks"] = str(permuted)
+        config.write_text(json.dumps(data))
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "identities.json").read_text())
+        tracklets = {t.track_id: t for t in core.rows_to_tracks(rows)}
+        for arm, field in (("without_roster", "identity_unmasked"), ("with_roster", "identity")):
+            scored = [(row[field], bundle.expected_class(tracklets[row["track_id"]]))
+                      for row in payload["tracks"]]
+            assert payload["accuracy"][arm] == sum(got == want for got, want in scored) / len(scored)
+        assert payload["accuracy"]["without_roster"] < 1.0  # the ids no longer name the owners
+
     def test_one_identification_pass(self, workspace, monkeypatch):
         tmp_path, config, _ = workspace
         calls = []
@@ -499,6 +553,16 @@ class TestInputFiles:
          "track 'one': track ids must be integers"),
         ("truth.json", {"tracks": {"07": {"team": "home", "jersey": None, "null_tracklet": 1}}},
          "track 7: null_tracklet must be true or false"),
+        # int() reads these as 10, 3 and 7.
+        ("truth.json", {"tracks": {"1_0": {"team": "home", "jersey": 1}}},
+         "track '1_0': track ids must be integers"),
+        ("truth.json", {"tracks": {"\u0663": {"team": "home", "jersey": 1}}},
+         "track '\u0663': track ids must be integers"),
+        ("truth.json", {"tracks": {" 7 ": {"team": "home", "jersey": 1}}},
+         "track ' 7 ': track ids must be integers"),
+        ("truth.json", {"tracks": {"7": {"team": "home", "jersey": 1},
+                                   "07": {"team": "away", "jersey": 2}}},
+         "tracks '7' and '07' both name track 7"),
     ])
     def test_invalid_entry_exits_1_naming_the_file(self, workspace, capsys, name, content,
                                                    message):
@@ -507,6 +571,17 @@ class TestInputFiles:
         path.write_text(json.dumps(content))
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"tracks": {"7": {"team": "home", "jersey": 1}, "7": {"team": "referee"}}}', "7"),
+        ('{"tracks": {"7": {"team": "home", "jersey": 1, "team": "away"}}}', "team"),
+    ])
+    def test_repeated_truth_key_exits_1_naming_the_file(self, workspace, capsys, text, key):
+        tmp_path, config, bundle_dir = workspace
+        (bundle_dir / "truth.json").write_text(text)  # json.loads would keep the last value
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {bundle_dir / 'truth.json'}: key {key!r} is given twice in one object"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("name", ["vocab.json", "rosters.json", "truth.json"])
     def test_malformed_json_exits_1_naming_the_file(self, workspace, capsys, name):
@@ -769,6 +844,15 @@ class TestThetaSweepScript:
         assert done.returncode == 2
         assert f"--scenarios must be at least 1, got {count}" in done.stderr
         assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("count", ["1_0", "\u0661", "2.0"])  # int() reads 10 and 1
+    def test_scenarios_not_an_ascii_integer_is_usage_error(self, count):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "theta_sweep.py"), "--scenarios", count],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert f"argument --scenarios: must be an integer, got {count!r}" in done.stderr
         assert done.stdout == ""
 
 

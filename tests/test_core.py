@@ -153,7 +153,7 @@ def reference_parse(text):
                 and all(_FLOAT.fullmatch(f) for f in fields[2:7])):
             return f"line {lineno}", ParseError
         frame, track_id = int(fields[0]), int(fields[1])
-        if frame < 0:
+        if frame < 0 or frame >= 2**63 or not -2**63 <= track_id < 2**63:
             return f"line {lineno}", ParseError
         x, y, w, h, conf = (float(f) for f in fields[2:7])
         if not all(math.isfinite(v) for v in (x, y, w, h)) or w <= 0 or h <= 0:
@@ -174,8 +174,9 @@ _TOKEN = st.one_of(
                      "1_0", "1_0.5", "\u0661", "\u0660.\u0665"]))
 # Well-formed values at and beyond each column's bounds (frame, id, x, y, w, h, conf).
 _EDGES = [
-    ["-1", "-2", "0", "+0"],
-    ["-1", "-3", "0", "5000000000"],
+    ["-1", "-2", "0", "+0", "9223372036854775807", "9223372036854775808"],
+    ["-1", "-3", "0", "5000000000", "-9223372036854775808", "-9223372036854775809",
+     "9223372036854775807", "9223372036854775808"],
     ["inf", "-inf", "nan", "1e308", "-0.0"],
     ["inf", "-inf", "nan", "-1e308", "-0.0"],
     ["0", "-0.0", "-1.5", "1e-300", "inf", "nan"],
@@ -262,6 +263,13 @@ class TestDetectionFile:
     def test_underscore_or_non_ascii_number_rejected(self, line):
         with pytest.raises(ParseError, match="^line 2: numbers must be ASCII without underscores$"):
             parse_detection_rows(f"0,-1,1,2,3,4,0.5\n{line}\n")
+
+    @pytest.mark.parametrize("frame, track_id", [(2**63, 1), (0, 2**63), (0, -2**63 - 1)])
+    def test_frame_or_id_beyond_64_bits_rejected(self, frame, track_id):
+        rows = parse_detection_rows(f"{2**63 - 1},{-2**63},1,2,3,4,0.5\n")
+        assert [(tid, d.frame) for tid, d in rows] == [(-2**63, 2**63 - 1)]
+        with pytest.raises(ParseError, match="^line 2: frame and id must fit in 64 bits$"):
+            parse_detection_rows(f"0,-1,1,2,3,4,0.5\n{frame},{track_id},1,2,3,4,0.5\n")
 
     @pytest.mark.parametrize("line", ["1,-1,10,20,30,40,0.9,junk", "1,-1,10,20,30,40,0.9,",
                                       "1,-1,10,20,30,40,0.9,0.5,0.5"])

@@ -3,12 +3,14 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rinktrack import sim
 from rinktrack.core import (
     BoundingBox,
     ClassVocabulary,
@@ -33,12 +35,16 @@ from rinktrack.ident import (
 )
 from rinktrack.metrics import pan_idsw, pan_sweep
 from rinktrack.sim import (
+    NO_OWNER,
     ConfusionSpec,
     GroundTruthBundle,
+    GroundTruthIndex,
     ScenarioConfig,
     TrackTruth,
     _simulate_paths,
+    expected_classes,
     generate,
+    majority,
     oracle_scorers,
 )
 from rinktrack.core import build_roster_vector
@@ -653,6 +659,103 @@ class TestMatchGt:
                     assert bundle.match_gt(frame, query, min_iou) == expected, (frame, query)
                     owners.add(expected)
         assert owners == {None, 1, 3, 7, 9}
+
+
+def box_by_box(index, dets, min_iou):
+    """Each detection's owner by the single-box reference, ``NO_OWNER`` where none."""
+    return [NO_OWNER if (o := index.owner(d.frame, d.box, min_iou)) is None else o for d in dets]
+
+
+def det(frame, x, y, w, h):
+    return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=1.0)
+
+
+class TestOwnerPass:
+    """``GroundTruthIndex.owners`` against ``match_gt``, box by box."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), jitter=st.sampled_from([0.0, 1.0, 6.0]),
+           fp_rate=st.sampled_from([0.0, 0.4]), fn_rate=st.sampled_from([0.0, 0.2]),
+           dropped=st.sets(st.integers(0, 59), max_size=20),
+           chunk=st.sampled_from([1, 7, 1024]))
+    def test_random_scenes(self, seed, jitter, fp_rate, fn_rate, dropped, chunk):
+        config = small_config(
+            layout="free", duration=60, speed_range=(1.0, 8.0), jitter_sigma=jitter,
+            fp_rate=fp_rate, fn_rate=fn_rate,
+            pan_profile=((0, 0.0), (15, 0.0), (30, 200.0), (40, 200.0), (55, 0.0)))
+        bundle = generate(config, seed)
+        gt_rows = [(trk.track_id, d) for trk in bundle.gt_tracks for d in trk.detections]
+        queries = [d for _, d in gt_rows] + [d for _, d in bundle.detections]
+        queries += [det(config.duration + 3, 50.0, 50.0, 20.0, 30.0), det(0, 1e6, 1e6, 5.0, 5.0)]
+        # The bundle's own index, and one whose ground truth skips the dropped frames.
+        thinned = GroundTruthIndex([(tid, d) for tid, d in gt_rows if d.frame not in dropped])
+        with mock.patch.object(sim, "_OWNER_CHUNK", chunk):  # pass boundaries anywhere
+            for min_iou in (0.2, 0.5):
+                owners = bundle.gt_index.owners(queries, min_iou).tolist()
+                assert owners == [NO_OWNER if (o := bundle.match_gt(d.frame, d.box, min_iou))
+                                  is None else o for d in queries]
+                assert thinned.owners(queries, min_iou).tolist() == box_by_box(
+                    thinned, queries, min_iou)
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.permutations([3, 8, 5]), x=st.integers(0, 40), w=st.integers(1, 30),
+           frames=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    def test_exact_ties_go_to_the_first_row(self, order, x, w, frames):
+        # Ids 3 and 8 hold the same box; id 5 its mirror about the query's centre line.
+        rows = []
+        for tid in order:
+            left = float(x) if tid != 5 else float(x + 2 * w)
+            rows += [(tid, det(f, left, 0.0, 2.0 * w, 10.0)) for f in range(0, 5, 2)]
+        index = GroundTruthIndex(rows)
+        queries = [det(f, float(x + w), 0.0, 2.0 * w, 10.0) for f in frames]
+        for min_iou in (0.0, 0.2, 0.5):
+            got = index.owners(queries, min_iou).tolist()
+            assert got == box_by_box(index, queries, min_iou)
+            # Frames 0, 2 and 4 hold all three rows, each at IoU 1/3; the first given wins.
+            assert got == [order[0] if f % 2 == 0 and min_iou <= 1 / 3 else NO_OWNER
+                           for f in frames]
+
+    @pytest.mark.parametrize("min_iou, shift", [(0.2, 2.0), (0.5, 1.0)])
+    def test_a_box_exactly_at_min_iou_is_owned(self, min_iou, shift):
+        # Boxes 3 wide overlapping by 3 - shift: IoU 1/5 or 2/4, exactly min_iou.
+        index = GroundTruthIndex([(4, det(0, 0.0, 0.0, 3.0, 1.0))])
+        at_bound = det(0, shift, 0.0, 3.0, 1.0)
+        below = det(0, shift + 0.5, 0.0, 3.0, 1.0)
+        assert index.owner(0, at_bound.box, min_iou) == 4
+        assert index.owner(0, below.box, min_iou) is None
+        assert index.owners([at_bound, below, at_bound], min_iou).tolist() == [4, NO_OWNER, 4]
+
+    def test_pair_memory_does_not_grow_with_the_input(self):
+        # 22 objects over 900 frames: 19,800 detections and 435,600 pairs. The pass in
+        # one step traced about 60 MB at its peak; in chunks of 256 detections, 1.0 MB.
+        bundle = generate(ScenarioConfig(), seed=1)
+        queries = [d for trk in bundle.gt_tracks for d in trk.detections]
+        index = bundle.gt_index
+        owners, peak = traced_peak(lambda: index.owners(queries))
+        assert (owners != NO_OWNER).all()
+        assert peak < 3_000_000, peak
+
+    def test_no_queries_and_no_ground_truth(self):
+        assert GroundTruthIndex([(1, det(0, 0.0, 0.0, 3.0, 1.0))]).owners([]).tolist() == []
+        assert GroundTruthIndex([]).owners([det(0, 0.0, 0.0, 3.0, 1.0)]).tolist() == [NO_OWNER]
+
+
+class TestExpectedClasses:
+    def test_majority_ties_go_to_the_smaller_id(self):
+        assert majority([7, 2, 7, 2, 9]) == 2
+        assert majority([7, NO_OWNER, 7, 2, NO_OWNER, NO_OWNER]) == 7
+        assert majority([NO_OWNER, NO_OWNER]) is None
+        assert majority([]) is None
+
+    def test_unowned_tracklets_are_left_out(self):
+        box = BoundingBox(0.0, 0.0, 20.0, 30.0)
+        far = BoundingBox(300.0, 300.0, 20.0, 30.0)
+        index = GroundTruthIndex([(1, Detection(f, box, 1.0)) for f in range(4)]
+                                 + [(2, Detection(f, far, 1.0)) for f in range(2)])
+        tracklets = [Track(10, tuple(Detection(f, box, 1.0) for f in range(4))),
+                     Track(11, (Detection(0, far, 1.0), Detection(3, far, 1.0))),
+                     Track(12, (Detection(9, box, 1.0),))]
+        assert expected_classes(tracklets, index, {1: 5, 2: 6}) == {10: 5, 11: 6}
 
 
 class TestPanGaps:

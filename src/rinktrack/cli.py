@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -102,6 +102,11 @@ def _parse_config(text: str) -> RunConfig:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
+    sections = [f.name for f in fields(RunConfig)]
+    unknown = sorted(data.keys() - sections)
+    if unknown:
+        raise ValidationError(f"{unknown[0]}: unknown section; a config holds "
+                              f"{', '.join(sections)}")
 
     def section(name: str, parse):
         try:
@@ -112,12 +117,26 @@ def _parse_config(text: str) -> RunConfig:
     paths = data.get("paths", {})
     if not isinstance(paths, dict):
         raise ValidationError(f"paths must be a JSON object, got {paths!r}")
+    unknown = sorted(paths.keys() - {*sim.BUNDLE_FILES, "tracks"})
+    if unknown:
+        raise ValidationError(f"paths: unknown fields: {unknown}")
     for name, value in paths.items():
         if value is not None and not isinstance(value, str):
             raise ValidationError(f"paths.{name} must be a path, got {value!r}")
     videos = data.get("videos", [])
     if not isinstance(videos, list) or not all(isinstance(entry, dict) for entry in videos):
         raise ValidationError(f"videos must be a list of objects, got {videos!r}")
+    # Each entry is named, video_<i> by default: the name labels its report rows.
+    videos = [{"name": f"video_{i}", **entry} for i, entry in enumerate(videos)]
+    for i, entry in enumerate(videos):
+        name, unknown = entry["name"], sorted(entry.keys() - {"name", "gt", "tracks"})
+        if not isinstance(name, str):
+            raise ValidationError(f"videos entry names must be strings, got {name!r}")
+        if unknown:
+            raise ValidationError(f"videos entry {name!r}: unknown fields: {unknown}")
+        if name in [e["name"] for e in videos[:i]]:
+            raise ValidationError(f"videos entry {name!r} is given twice; report rows are "
+                                  f"labelled by name")
     return RunConfig(
         paths=paths,
         videos=videos,
@@ -360,9 +379,7 @@ def _eval_videos(config: RunConfig) -> list[tuple[str, str, list[core.Row], list
     videos = []
     if config.videos:
         for entry in config.videos:
-            name = entry.get("name", f"video_{len(videos)}")
-            if not isinstance(name, str):
-                raise ConfigError(f"videos entry names must be strings, got {name!r}")
+            name = entry["name"]
             for key in ("gt", "tracks"):
                 if key not in entry:
                     raise ConfigError(f"videos entry {name!r} is missing {key!r}")

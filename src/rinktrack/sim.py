@@ -11,6 +11,7 @@ ground-truthed and deterministic given (config, seed).
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -221,6 +222,10 @@ class GroundTruthIndex:
         order = np.argsort(frames, kind="stable")
         self.frames, self.ids = frames[order], ids[order]
         self.corners = box_corners([d.box for _, d in rows])[order]
+        # Each tracklet's owners, keyed by value, so that equal tracklets (one
+        # re-read from tracks.csv, say) share an entry; and the last one served.
+        self._tracklets: dict[Track, list[int]] = {}
+        self._last: tuple[Track | None, list[int]] = (None, [])
 
     def owner(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
         """One box's owner, or None: the single-box reference for ``owners``."""
@@ -259,6 +264,16 @@ class GroundTruthIndex:
             owners[start + matched[won]] = self.ids[row[first[won]]]
         return owners
 
+    def tracklet_owners(self, track: Track) -> list[int]:
+        """``owners`` of a tracklet's detections, computed once per distinct tracklet."""
+        last, owners = self._last
+        if last is not track:  # scorers ask once per detection or window, in runs
+            owners = self._tracklets.get(track)
+            if owners is None:
+                owners = self._tracklets[track] = self.owners(track.detections).tolist()
+            self._last = (track, owners)
+        return owners
+
 
 def majority(owners: Iterable[int]) -> int | None:
     """The id owning the most entries, ties going to the smaller; None when no
@@ -273,11 +288,9 @@ def expected_classes(tracks: Sequence[Track], index: GroundTruthIndex,
     """Each tracklet's expected identification output: ``classes`` of the
     ground-truth id owning most of its detections. Tracklets that no ground
     truth owns are left out."""
-    owners = index.owners([d for trk in tracks for d in trk.detections]).tolist()
-    expected, end = {}, 0
+    expected = {}
     for trk in tracks:
-        start, end = end, end + len(trk)
-        gt_id = majority(owners[start:end])
+        gt_id = majority(index.tracklet_owners(trk))
         if gt_id is not None:
             expected[trk.track_id] = classes[gt_id]
     return expected
@@ -296,23 +309,13 @@ class GroundTruthBundle:
     pan_gaps: list[PanGap]
     detections: list[tuple[int, Detection]]
 
-    def __post_init__(self) -> None:
-        # The ground-truth table, built on the first lookup so runs that never
-        # match boxes never pay for it.
-        self._gt_index: GroundTruthIndex | None = None
-        # Each detection's (owner, number shown), matched on its first lookup.
-        # Keys are values, so equal detections of any tracklet share an entry.
-        self._owners: dict[Detection, tuple[int, bool]] = {}
-
     # -- ground-truth lookups -------------------------------------------------
 
-    @property
+    @functools.cached_property
     def gt_index(self) -> GroundTruthIndex:
-        """``gt_tracks`` as a :class:`GroundTruthIndex`, rows in ``gt_tracks`` order."""
-        if self._gt_index is None:
-            self._gt_index = GroundTruthIndex(
-                [(trk.track_id, d) for trk in self.gt_tracks for d in trk.detections])
-        return self._gt_index
+        """``gt_tracks`` as a :class:`GroundTruthIndex` (rows in their order), built on first use."""
+        return GroundTruthIndex([(trk.track_id, d) for trk in self.gt_tracks
+                                 for d in trk.detections])
 
     def classes(self) -> dict[int, int]:
         """Each ground-truth id's expected class (see ``TrackTruth.expected_class``)."""
@@ -321,18 +324,6 @@ class GroundTruthBundle:
     def match_gt(self, frame: int, box: BoundingBox, min_iou: float = 0.2) -> int | None:
         """Ground-truth track owning a box at a frame, by best IoU."""
         return self.gt_index.owner(frame, box, min_iou)
-
-    def _owner(self, det: Detection) -> tuple[int, bool]:
-        """``det``'s ``match_gt`` owner (``NO_OWNER`` where none) and whether its number
-        shows for that owner."""
-        entry = self._owners.get(det)
-        if entry is None:
-            owner = self.match_gt(det.frame, det.box)
-            if owner is None:
-                owner = NO_OWNER
-            shown = owner != NO_OWNER and det.frame in self.visible_frames.get(owner, ())
-            entry = self._owners[det] = (owner, shown)
-        return entry
 
     def expected_class(self, track: Track) -> int | None:
         """Expected identification output for a tracklet (class index or referee sentinel),
@@ -421,14 +412,14 @@ class OracleFrameScorer:
     def score_frame(self, track: Track, index: int) -> np.ndarray:
         bundle = self.bundle
         det = track.detections[index]
-        gt_id, shown = bundle._owner(det)
+        gt_id = bundle.gt_index.tracklet_owners(track)[index]
         probs = np.zeros(bundle.vocab.num_classes)
         if gt_id == NO_OWNER:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         rng = bundle._rng(_FRAME, gt_id, det.frame)
         # Each uniform(a, b) is spelled a + (b - a) * random(): the same value.
-        if shown:
+        if det.frame in bundle.visible_frames.get(gt_id, ()):
             # Mostly below the default gate (0.01) but occasionally above
             # it, so threshold sweeps see false negatives at tiny values.
             null_mass = 0.003 + (0.012 - 0.003) * rng.random()
@@ -448,7 +439,7 @@ class OracleTeamScorer:
     def score_frame(self, track: Track, index: int) -> np.ndarray:
         bundle = self.bundle
         det = track.detections[index]
-        gt_id, _ = bundle._owner(det)
+        gt_id = bundle.gt_index.tracklet_owners(track)[index]
         chosen = 0 if gt_id == NO_OWNER else _TEAM_SLOT[bundle.truth[gt_id].team]
         noise = bundle.config.team_noise
         if noise > 0:
@@ -478,14 +469,16 @@ class OracleWindowScorer:
         bundle = self.bundle
         vocab = bundle.vocab
         dets = track.detections[start:start + length]
-        owners, shown = zip(*map(bundle._owner, dets))
+        owners = bundle.gt_index.tracklet_owners(track)[start:start + length]
         gt_id = majority(owners)
         probs = np.zeros(vocab.num_classes)
         if gt_id is None:
             probs[-1] = 0.9
             return _spread_remainder(probs, exclude_null=True)
         truth = bundle.truth[gt_id]
-        vis_frac = sum(shown) / len(dets)
+        # Each detection counts when its number shows for its own owner.
+        visible = bundle.visible_frames
+        vis_frac = sum(d.frame in visible.get(o, ()) for d, o in zip(dets, owners)) / len(dets)
 
         if truth.team == "referee" or truth.jersey is None or vis_frac == 0.0:
             probs[-1] = 0.85

@@ -201,6 +201,9 @@ class TestConfigSections:
         ("identify", "ident", {"windw": 9}, "unknown fields: ['windw']"),
         ("eval", "metrics", {"delt": 3}, "unknown fields: ['delt']"),
         ("track", "tracker", ["max_age"], "must be a JSON object, got ['max_age']"),
+        ("track", "trackr", {"max_age": 5},
+         "unknown section; a config holds paths, videos, tracker, ident, metrics, scenario"),
+        ("identify", "paths", {"turth": "truth.json"}, "unknown fields: ['turth']"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, command, section, fields,
                                            message):
@@ -755,12 +758,16 @@ class TestEval:
     @pytest.mark.parametrize("key, value, message", [
         ("tracks", 7, "videos entry 'v': tracks must be a path, got 7"),
         ("name", [1], "videos entry names must be strings, got [1]"),
+        ("trakcs", "x.csv", "videos entry 'v': unknown fields: ['trakcs']"),
+        # The first entry is named by its position; the second takes that name.
+        ("name", "video_0", "videos entry 'video_0' is given twice"),
     ])
-    def test_video_fields_must_be_strings(self, workspace, capsys, key, value, message):
+    def test_bad_video_entry_exits_2_naming_it(self, workspace, capsys, key, value, message):
         tmp_path, config, _ = workspace
         data = json.loads(config.read_text())
         gt = data["paths"]["gt"]
-        data["videos"] = [{"name": "v", "gt": gt, "tracks": gt, key: value}]
+        data["videos"] = [{"gt": gt, "tracks": gt},
+                          {"name": "v", "gt": gt, "tracks": gt, key: value}]
         config.write_text(json.dumps(data))
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err

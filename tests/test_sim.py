@@ -914,14 +914,17 @@ class TestOwnersMatchedOncePerScene:
                               visibility_profile=0.5, null_tracklet_rate=0.3, stride=2)
         bundle = generate(config, seed=12)
         tracklets = track(group_by_frame(bundle.detections), TrackerParams(min_hits=1))
-        calls = []
-        real = GroundTruthBundle.match_gt
+        calls, single = [], []  # detections passed to the owner pass; match_gt calls
+        real_owners, real = GroundTruthIndex.owners, GroundTruthBundle.match_gt
+        monkeypatch.setattr(GroundTruthIndex, "owners", lambda self, dets, *rest: (
+            calls.extend(dets) or real_owners(self, dets, *rest)))
         monkeypatch.setattr(GroundTruthBundle, "match_gt", lambda self, frame, box, *rest: (
-            calls.append((frame, box)) or real(self, frame, box, *rest)))
+            single.append((frame, box)) or real(self, frame, box, *rest)))
 
         scored = self.identify(bundle, tracklets)
         distinct = {d for trk in tracklets for d in trk.detections}
         assert len(calls) == len(distinct)
+        assert not single  # the oracles use the owner pass, not the single-box lookup
         assert self.identify(bundle, tracklets) == scored
         assert len(calls) == len(distinct)  # a repeated sweep matches nothing again
 

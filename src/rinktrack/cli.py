@@ -458,9 +458,13 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
     """Run the stage commands in order: simulate (when configured), track, identify, eval.
 
     A simulating run reads every input from the bundle it writes, so a
-    config that also names one of those inputs is an error. Only that
-    bundle passes between the stages in memory.
+    config that also names one of those inputs is an error, and so is a
+    ``videos`` list: the run evaluates only the tracks it writes. Only
+    that bundle passes between the stages in memory.
     """
+    if config.videos:
+        raise ConfigError("pipeline evaluates only the tracks it writes, so it cannot also "
+                          "read videos; remove them or run eval on its own")
     paths = dict(config.paths)
     bundle = None
     if config.paths.get("detections") is None:
@@ -476,7 +480,7 @@ def cmd_pipeline(config: RunConfig, seed: int, out_dir: Path,
     # A run from files reports no accuracy: its score files cover ground-truth ids, not
     # the tracker's tracklets.
     paths.update(tracks=str(out_dir / "tracks.csv"), truth=None)
-    run = replace(config, paths=paths, videos=[])
+    run = replace(config, paths=paths)
 
     cmd_track(run, out_dir)
     accuracy = cmd_identify(run, out_dir, mask_rosters, method, bundle)

@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -331,6 +332,38 @@ def save_rosters(home: Sequence[int], away: Sequence[int], path: str | Path) -> 
 # ---------------------------------------------------------------------------
 
 Row = tuple[int, Detection]
+
+
+class RawRows(Sequence[Row]):
+    """Read-only rows ``(-1, det)`` of raw detections, over one list of them.
+
+    It measures, indexes (a slice gives a list of rows), iterates and
+    compares equal as the list of rows would, but keeps no tuple per row.
+    """
+
+    __slots__ = ("_dets",)
+
+    def __init__(self, dets: list[Detection]) -> None:
+        self._dets = dets
+
+    def __len__(self) -> int:
+        return len(self._dets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [(-1, det) for det in self._dets[index]]
+        return (-1, self._dets[index])
+
+    def __iter__(self):
+        return zip(repeat(-1), self._dets)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, RawRows)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RawRows({self._dets!r})"
 
 
 def parse_detection_rows(text: str) -> list[Row]:

@@ -307,7 +307,7 @@ class GroundTruthBundle:
     truth: dict[int, TrackTruth]
     visible_frames: dict[int, frozenset[int]]
     pan_gaps: list[PanGap]
-    detections: list[tuple[int, Detection]]
+    detections: core.RawRows  # the raw detections as (-1, Detection) rows
 
     # -- ground-truth lookups -------------------------------------------------
 
@@ -620,7 +620,7 @@ def _pick_rosters(config: ScenarioConfig, vocab: ClassVocabulary,
 def generate(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     """Build a fully ground-truthed scenario; deterministic given (config, seed)."""
     check_int("seed", seed, 0)
-    # A scene is up to ~200k objects (boxes, detections, tuples) that form no
+    # A scene is up to ~200k objects (boxes and detections) that form no
     # cycles. Pausing the cyclic collector spares it re-walking them while
     # they are built; reference counting still frees every temporary.
     enabled = gc.isenabled()
@@ -776,13 +776,13 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
     # The columns go before the detections are built, at the scene's memory peak.
     del frame_col, x_col, y_col, order, kept_rows
 
-    detections: list[tuple[int, Detection]] = []
+    detections: list[Detection] = []
     f = 0
     for t, size, fp in zip(frame_order, kept_sizes, has_fp):
-        detections += zip(repeat(-1), islice(kept_dets, size))
+        detections += islice(kept_dets, size)
         if fp:
-            detections.append((-1, Detection(t, BoundingBox(false_pos[f], false_pos[f + 1],
-                                                            box_w, box_h), false_pos[f + 2])))
+            detections.append(Detection(t, BoundingBox(false_pos[f], false_pos[f + 1],
+                                                       box_w, box_h), false_pos[f + 2]))
             f += 3
 
     return GroundTruthBundle(
@@ -795,7 +795,7 @@ def _build_scene(config: ScenarioConfig, seed: int) -> GroundTruthBundle:
         truth=truth,
         visible_frames=visible_frames,
         pan_gaps=pan_gaps,
-        detections=detections,
+        detections=core.RawRows(detections),
     )
 
 

@@ -808,10 +808,20 @@ class TestPipeline:
         assert "paths.gt, paths.rosters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # A simulating run and a run from files: before, both ignored the videos
+    # without a word and exited 0, reporting only video_0.
+    @pytest.mark.parametrize("paths", [{}, {"detections": "det.csv"}])
+    def test_videos_exit_2_naming_them(self, tmp_path, capsys, paths):
+        config = write_config(tmp_path / "config.json", paths=paths, videos=[
+            {"name": "mine", "gt": "nope.csv", "tracks": "nope2.csv"}])
+        assert main(["pipeline", "--config", str(config), "--seed", "4",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cannot also read videos" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulated_run_reads_its_own_bundle(self, tmp_path, monkeypatch):
         config = cli.load_config(write_config(
-            tmp_path / "config.json", paths={"tracks": "elsewhere.csv"},
-            videos=[{"name": "other", "gt": "a.csv", "tracks": "b.csv"}]))
+            tmp_path / "config.json", paths={"tracks": "elsewhere.csv"}))
         before = (dict(config.paths), list(config.videos))
         calls = []
         real = cli.run_pipeline

@@ -242,6 +242,52 @@ class TestGenerate:
         assert set(away) <= set(bundle.away_roster)
 
 
+class TestRawRows:
+    """``bundle.detections`` is a read-only sequence of ``(-1, Detection)`` rows."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        return generate(small_config(jitter_sigma=1.0, fp_rate=0.2, fn_rate=0.1), seed=4)
+
+    def test_read_only(self, bundle):
+        row = bundle.detections[0]
+        with pytest.raises(AttributeError):
+            bundle.detections.append(row)
+        with pytest.raises(TypeError):
+            bundle.detections[0] = row
+        assert bundle.detections[0] == row
+
+    def test_rows_match_the_list_of_rows(self, bundle):
+        rows = list(bundle.detections)
+        assert len(rows) > 100
+        assert list(bundle.detections) == rows  # a second pass gives the same rows
+        assert all(tid == -1 and type(det) is Detection for tid, det in rows)
+        assert len(bundle.detections) == len(rows)
+        assert bundle.detections[0] == rows[0]
+        assert bundle.detections[-1] == rows[-1]
+        assert bundle.detections[3:40:7] == rows[3:40:7]
+        assert type(bundle.detections[3:40:7]) is list
+        with pytest.raises(IndexError):
+            bundle.detections[len(rows)]
+
+    def test_equality_with_lists_and_tuples(self, bundle):
+        rows = list(bundle.detections)
+        for same in (rows, tuple(rows)):
+            assert bundle.detections == same
+            assert same == bundle.detections
+        changed = list(rows)
+        tid, det = changed[5]
+        changed[5] = (tid, Detection(det.frame, det.box, det.confidence / 2))
+        assert bundle.detections != changed
+        assert changed != bundle.detections
+        assert bundle.detections != rows[:-1]
+
+    def test_saved_bytes_match_the_list(self, bundle, tmp_path):
+        save_detection_file(bundle.detections, tmp_path / "view.csv")
+        save_detection_file(list(bundle.detections), tmp_path / "list.csv")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
 class TestCollectorPause:
     """``generate`` pauses the cyclic collector while it builds and restores it."""
 

@@ -1,14 +1,15 @@
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iou_reference import iou
-from rinktrack.core import BoundingBox, Detection, ValidationError
+from rinktrack.core import BoundingBox, Detection, Track, ValidationError
 from rinktrack.tracker import (
     SortTracker,
     TrackerParams,
@@ -484,3 +485,141 @@ class TestTrackLifecycle:
         tracker.step(5, [Detection(5, box, 1.0)])  # the rejected call left no trace
         [only] = tracker.finish()
         assert only.frames == [4, 5]
+
+
+# ---------------------------------------------------------------------------
+# track() end to end against a plain-Python SORT reference
+# ---------------------------------------------------------------------------
+
+
+def ref_assign(predicted, boxes, iou_threshold):
+    """The gated pairs (track index, detection index) of a least-cost assignment
+    on ``1 - IoU``, by enumerating every assignment of the smaller side.
+
+    Totals are exact sums (``math.fsum``). When least-cost assignments match
+    different pairs, the README's tie rule applies: a lone detection goes to
+    the first live track and a lone track takes the first detection. Any
+    other such tie is outside the contract, and the example is discarded.
+    """
+    assume(len(predicted) <= 6 and len(boxes) <= 6)
+    overlap = [[iou(p, b) for b in boxes] for p in predicted]
+    flip = len(predicted) > len(boxes)
+    rows, cols = sorted((len(predicted), len(boxes)))
+    best, chosen, outcomes = math.inf, None, set()
+    for perm in itertools.permutations(range(cols), rows):  # lowest indices first
+        pairs = [(c, r) if flip else (r, c) for r, c in enumerate(perm)]
+        total = math.fsum(1.0 - overlap[t][d] for t, d in pairs)
+        gated = frozenset((t, d) for t, d in pairs if overlap[t][d] >= iou_threshold)
+        if total < best:
+            best, chosen, outcomes = total, gated, {gated}
+        elif total == best:
+            outcomes.add(gated)
+    assume(len(outcomes) == 1 or rows == 1)
+    return sorted(chosen)
+
+
+@dataclass
+class RefTrack:
+    track_id: int
+    state: KalmanTrackState
+    reported: list
+    hit_streak: int = 1
+    misses: int = 0
+
+
+def ref_track(frames, params):
+    """SORT as the README states it, stepping every frame from the first to the
+    last: a frame missing from ``frames`` is an empty frame."""
+    live, done, next_id = [], [], 1
+    for seen, f in enumerate(range(min(frames, default=0), max(frames, default=-1) + 1), 1):
+        grace = seen <= params.min_hits  # every match and new track is reported
+        dets = [d for d in frames.get(f, ()) if d.confidence >= params.confidence_threshold]
+        for trk in live:
+            trk.state = ref_predict(trk.state, params)
+        matches = ref_assign([ref_state_to_box(trk.state) for trk in live],
+                             [d.box for d in dets], params.iou_threshold) if live and dets else []
+        for t, d in matches:
+            trk = live[t]
+            trk.state = ref_update(trk.state, dets[d].box, params)
+            trk.hit_streak += 1
+            trk.misses = 0
+            if grace or trk.hit_streak >= params.min_hits:
+                trk.reported.append(dets[d])
+        matched = {t for t, _ in matches}
+        for t, trk in enumerate(live):
+            if t not in matched:
+                trk.hit_streak, trk.misses = 0, trk.misses + 1
+        done += [trk for trk in live if trk.misses > params.max_age]
+        live = [trk for trk in live if trk.misses <= params.max_age]
+        taken = {d for _, d in matches}
+        for d, det in enumerate(dets):
+            if d not in taken:
+                live.append(RefTrack(next_id, ref_initiate(det.box, params), [det] if grace else []))
+                next_id += 1
+    return sorted((Track(trk.track_id, tuple(trk.reported)) for trk in done + live if trk.reported),
+                  key=lambda t: t.track_id)
+
+
+@st.composite
+def sort_scenes(draw):
+    """A few objects moving in straight lines for tens of frames, with jitter,
+    dropped detections, false positives, low confidences and skipped frames,
+    as ``{frame: [Detection]}``. The geometry comes from a drawn numpy seed, so
+    no two boxes coincide by accident. Objects at rest on whole pixels, as
+    squares without jitter, are predicted exactly: their IoU is exactly 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objects = draw(st.integers(1, 3))
+    drop_rate, fp_rate, skip_rate = (draw(st.sampled_from(rates)) for rates in (
+        [0.0, 0.15, 0.4], [0.0, 0.1, 0.3], [0.0, 0.1, 0.3]))
+    if draw(st.booleans()):
+        jitter = 0.0
+        start = rng.integers(0, 300, (objects, 2)).astype(float)
+        velocity = np.zeros((objects, 2))
+        size = rng.integers(15, 45, (objects, 1)).repeat(2, axis=1).astype(float)
+    else:
+        jitter = draw(st.sampled_from([0.0, 1.0, 4.0]))
+        start = rng.uniform(0.0, 300.0, (objects, 2))
+        velocity = rng.uniform(-6.0, 6.0, (objects, 2))
+        size = rng.uniform(15.0, 45.0, (objects, 2))
+    frames, f = {}, int(rng.integers(0, 5))
+    for _ in range(draw(st.integers(1, 40))):
+        dets = []
+        for i in range(objects):
+            if rng.random() >= drop_rate:
+                x, y = start[i] + velocity[i] * f + jitter * rng.standard_normal(2)
+                dets.append(Detection(f, BoundingBox(x, y, *size[i]), rng.uniform(0.3, 1.0)))
+        if rng.random() < fp_rate:
+            dets.append(Detection(f, BoundingBox(*rng.uniform(0.0, 300.0, 2),
+                                                 *rng.uniform(15.0, 45.0, 2)),
+                                  rng.uniform(0.3, 1.0)))
+        frames[f] = dets
+        f += 1 + (int(rng.integers(1, 12)) if rng.random() < skip_rate else 0)
+    return frames
+
+
+sort_params = st.builds(
+    TrackerParams, iou_threshold=st.sampled_from([0.1, 0.3, 0.5, 1.0]), max_age=st.integers(0, 5),
+    min_hits=st.integers(0, 4), confidence_threshold=st.sampled_from([0.0, 0.5, 0.7]))
+
+
+def square_scene(*frame_boxes):
+    """``{frame: [Detection]}`` of exact boxes, confidence 1."""
+    return {f: [Detection(f, BoundingBox(*box), 1.0) for box in boxes] for f, boxes in frame_boxes}
+
+
+class TestSortReference:
+    """``track()`` equals the plain-Python SORT reference: ids, frames and boxes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sort_scenes(), sort_params)
+    # IoU exactly at the gate: a 10x10 box, then its top half (IoU 0.5), matches.
+    @example(square_scene((0, [(0.0, 0.0, 10.0, 10.0)]), (1, [(0.0, 0.0, 10.0, 5.0)])),
+             TrackerParams(iou_threshold=0.5, min_hits=1))
+    # A tie: two tracks on one box, then one box; the first live track takes it.
+    @example(square_scene((0, [(0.0, 0.0, 10.0, 10.0)] * 2), (1, [(1.0, 0.0, 10.0, 10.0)])),
+             TrackerParams(min_hits=1))
+    # A track missed on exactly max_age frames survives to match again.
+    @example(square_scene((0, [(0.0, 0.0, 10.0, 10.0)]), (3, [(0.0, 0.0, 10.0, 10.0)])),
+             TrackerParams(max_age=2, min_hits=0))
+    def test_track_matches_reference(self, frames, params):
+        assert track(frames, params) == ref_track(frames, params)

@@ -93,13 +93,12 @@ def load_config(path: str | Path) -> RunConfig:
     if not _readable(p):
         raise ConfigError(f"config file not found: {p}")
     try:
-        return core.read_input(p, _parse_config)
+        return core.read_json(p, _parse_config)
     except (ParseError, ValidationError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_config(text: str) -> RunConfig:
-    data = json.loads(text)
+def _parse_config(data) -> RunConfig:
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     sections = [f.name for f in fields(RunConfig)]
@@ -108,18 +107,16 @@ def _parse_config(text: str) -> RunConfig:
         raise ValidationError(f"{unknown[0]}: unknown section; a config holds "
                               f"{', '.join(sections)}")
 
-    def section(name: str, parse):
+    def within(where: str, parse, *args):
         try:
-            return parse(data.get(name, {}))
+            return parse(*args)
         except (TypeError, ValidationError) as exc:
-            raise ValidationError(f"{name}: {exc}") from None
+            raise ValidationError(f"{where}: {exc}") from None
 
     paths = data.get("paths", {})
     if not isinstance(paths, dict):
         raise ValidationError(f"paths must be a JSON object, got {paths!r}")
-    unknown = sorted(paths.keys() - {*sim.BUNDLE_FILES, "tracks"})
-    if unknown:
-        raise ValidationError(f"paths: unknown fields: {unknown}")
+    within("paths", core.known_fields, {*sim.BUNDLE_FILES, "tracks"}, paths)
     for name, value in paths.items():
         if value is not None and not isinstance(value, str):
             raise ValidationError(f"paths.{name} must be a path, got {value!r}")
@@ -129,21 +126,21 @@ def _parse_config(text: str) -> RunConfig:
     # Each entry is named, video_<i> by default: the name labels its report rows.
     videos = [{"name": f"video_{i}", **entry} for i, entry in enumerate(videos)]
     for i, entry in enumerate(videos):
-        name, unknown = entry["name"], sorted(entry.keys() - {"name", "gt", "tracks"})
+        name = entry["name"]
         if not isinstance(name, str):
             raise ValidationError(f"videos entry names must be strings, got {name!r}")
-        if unknown:
-            raise ValidationError(f"videos entry {name!r}: unknown fields: {unknown}")
+        within(f"videos entry {name!r}", core.known_fields, ("name", "gt", "tracks"), entry)
         if name in [e["name"] for e in videos[:i]]:
             raise ValidationError(f"videos entry {name!r} is given twice; report rows are "
                                   f"labelled by name")
     return RunConfig(
         paths=paths,
         videos=videos,
-        tracker=section("tracker", TrackerParams.from_dict),
-        ident=section("ident", IdentParams.from_dict),
-        metrics=section("metrics", MetricsParams.from_dict),
-        scenario=section("scenario", sim.ScenarioConfig.from_dict) if "scenario" in data else None,
+        tracker=within("tracker", TrackerParams.from_dict, data.get("tracker", {})),
+        ident=within("ident", IdentParams.from_dict, data.get("ident", {})),
+        metrics=within("metrics", MetricsParams.from_dict, data.get("metrics", {})),
+        scenario=(within("scenario", sim.ScenarioConfig.from_dict, data["scenario"])
+                  if "scenario" in data else None),
     )
 
 
@@ -189,20 +186,10 @@ def cmd_track(config: RunConfig, out_dir: Path) -> int:
 _TEAMS = ("home", "away", "referee")
 
 
-def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, refusing a repeated key that ``json`` would drop."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        key = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise ParseError(f"key {key!r} is given twice in one object")
-    return obj
-
-
-def _truth_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
+def _truth_classes(data, vocab: core.ClassVocabulary) -> dict[int, int]:
     """Each ground-truth id's expected class (see ``TrackTruth.expected_class``) from
-    ``truth.json``. A key is an optional ``-`` and ASCII digits, one key per id."""
-    data = json.loads(text, object_pairs_hook=_distinct_keys)
+    ``truth.json``. A key is an optional ``-`` and ASCII digits, one key per id. A
+    player's ``null_tracklet``, when given, says whether its jersey is null."""
     tracks = data.get("tracks") if isinstance(data, dict) else None
     if not isinstance(tracks, dict):
         raise ParseError('truth file must be an object with a "tracks" object')
@@ -226,7 +213,11 @@ def _truth_classes(text: str, vocab: core.ClassVocabulary) -> dict[int, int]:
             raise ParseError(f"{where}: null_tracklet must be true or false")
         truth = sim.TrackTruth(team=row["team"], jersey=jersey, null_tracklet=null_tracklet)
         try:
+            core.known_fields(sim.TrackTruth, row)
             expected[track_id] = truth.expected_class(vocab)
+            if truth.team != "referee" and null_tracklet != (jersey is None):
+                raise ValidationError(f"null_tracklet must be {json.dumps(jersey is None)} "
+                                      f"when jersey is {json.dumps(jersey)}")
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     return expected
@@ -245,7 +236,7 @@ def _ground_truth(config: RunConfig, vocab: core.ClassVocabulary,
     if config.paths.get("gt") is None:
         raise ConfigError("paths.truth needs paths.gt: accuracy scores each tracklet against "
                           "the ground-truth track that owns most of its boxes")
-    classes = core.read_input(truth_path, lambda text: _truth_classes(text, vocab))
+    classes = core.read_json(truth_path, lambda data: _truth_classes(data, vocab))
     index = sim.GroundTruthIndex(_eval_rows(config.path("gt")))
     missing = sorted(set(index.ids.tolist()) - classes.keys())
     if missing:

@@ -52,11 +52,11 @@ def check_bool(name: str, value) -> None:
         raise ValidationError(f"{name} must be true or false, got {value!r}")
 
 
-def known_fields(cls, data) -> dict:
-    """``data`` as keyword arguments of dataclass ``cls``; any other key is rejected."""
+def known_fields(known, data) -> dict:
+    """``data`` as a dict if each key is in ``known``: key names, or a dataclass's fields."""
     if not isinstance(data, Mapping):
         raise ValidationError(f"must be a JSON object, got {data!r}")
-    unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+    unknown = sorted(set(data) - set(getattr(known, "__dataclass_fields__", known)))
     if unknown:
         raise ValidationError(f"unknown fields: {unknown}")
     return dict(data)
@@ -74,6 +74,28 @@ def read_input(path: str | Path, parse):
         raise ParseError(f"{path}: {exc}") from None
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key that ``json`` would drop."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"key {key!r} is given twice in one object")
+    return obj
+
+
+def read_json(path: str | Path, parse):
+    """``read_input`` of a JSON file; a key given twice in one object is a ParseError."""
+    return read_input(path, lambda text: parse(json.loads(text, object_pairs_hook=_distinct_keys)))
+
+
+def check_distinct(numbers: Sequence[int], where: str = "") -> None:
+    """Reject a jersey number given twice, naming each repeated one after ``where``."""
+    if len(set(numbers)) != len(numbers):
+        dupes = sorted({v for v in numbers if list(numbers).count(v) > 1})
+        raise ValidationError(f"{where}duplicate jersey labels: {dupes}")
 
 
 def json_ints(name: str, values) -> list[int]:
@@ -197,9 +219,7 @@ class ClassVocabulary:
             check_int("jersey label", v, 0)
             if v > 99:
                 raise ValidationError(f"jersey label must be at most 99, got {v!r}")
-        if len(set(self.labels)) != len(self.labels):
-            dupes = sorted({v for v in self.labels if list(self.labels).count(v) > 1})
-            raise ValidationError(f"duplicate jersey labels: {dupes}")
+        check_distinct(self.labels)
 
     @property
     def null_index(self) -> int:
@@ -224,7 +244,7 @@ class ClassVocabulary:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ClassVocabulary":
-        return read_input(path, lambda text: cls(tuple(json_ints("vocabulary", json.loads(text)))))
+        return read_json(path, lambda data: cls(tuple(json_ints("vocabulary", data))))
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(list(self.labels)) + "\n")
@@ -311,15 +331,18 @@ def build_roster_vector(roster: Iterable[int], vocab: ClassVocabulary) -> Roster
 
 
 def load_rosters(path: str | Path, vocab: ClassVocabulary) -> tuple[RosterVector, RosterVector]:
-    """Home and away masks from a roster file ``{"home": [...], "away": [...]}``."""
-    def parse(text: str) -> tuple[RosterVector, RosterVector]:
-        data = json.loads(text)
+    """Home and away masks from a roster file ``{"home": [...], "away": [...]}``,
+    each list holding distinct numbers."""
+    def parse(data) -> tuple[RosterVector, RosterVector]:
         if not isinstance(data, dict) or "home" not in data or "away" not in data:
             raise ParseError('roster file must be an object with "home" and "away" lists')
         home, away = (json_ints(f"{side} roster", data[side]) for side in ("home", "away"))
+        known_fields(("home", "away"), data)
+        check_distinct(home, "home roster: ")
+        check_distinct(away, "away roster: ")
         return build_roster_vector(home, vocab), build_roster_vector(away, vocab)
 
-    return read_input(path, parse)
+    return read_json(path, parse)
 
 
 def save_rosters(home: Sequence[int], away: Sequence[int], path: str | Path) -> None:

@@ -31,6 +31,7 @@ from .core import (
     Detection,
     Track,
     ValidationError,
+    check_distinct,
     check_int,
     check_unit,
     default_vocabulary,
@@ -135,6 +136,8 @@ class ScenarioConfig:
         for name in ("vocab_labels", "home_roster", "away_roster"):
             for number in getattr(self, name) or ():
                 check_int(f"{name} entry", number, 0)
+        for name in ("home_roster", "away_roster"):
+            check_distinct(getattr(self, name) or (), f"{name}: ")
         for number, spec in self.confusion.items():
             check_int(f"confusion {number} substitute", spec.substitute, 0)
             check_unit(f"confusion {number} prob", spec.prob)

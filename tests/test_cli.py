@@ -143,6 +143,9 @@ class TestSimulate:
         ("vocab_labels", ["a"], "vocab_labels entry must be an integer >= 0, got 'a'"),
         ("home_roster", ["x"], "home_roster entry must be an integer >= 0, got 'x'"),
         ("away_roster", [2.5], "away_roster entry must be an integer >= 0, got 2.5"),
+        # Two players would share a number.
+        ("home_roster", [2, 2, 4], "home_roster: duplicate jersey labels: [2]"),
+        ("away_roster", [5, 6, 5, 7], "away_roster: duplicate jersey labels: [5]"),
     ])
     def test_invalid_scenario_field_exits_2_naming_it(self, tmp_path, capsys, field, value,
                                                        message):
@@ -566,6 +569,17 @@ class TestInputFiles:
         ("truth.json", {"tracks": {"7": {"team": "home", "jersey": 1},
                                    "07": {"team": "away", "jersey": 2}}},
          "tracks '7' and '07' both name track 7"),
+        ("truth.json", {"tracks": {"1": {"team": "home", "jersey": 1, "nul_tracklet": True}}},
+         "track 1: unknown fields: ['nul_tracklet']"),
+        ("truth.json", {"tracks": {"1": {"team": "home", "jersey": 7, "null_tracklet": True}}},
+         "track 1: null_tracklet must be false when jersey is 7"),
+        ("truth.json", {"tracks": {"1": {"team": "away", "jersey": None, "null_tracklet": False}}},
+         "track 1: null_tracklet must be true when jersey is null"),
+        ("rosters.json", {"home": [1], "away": [4], "hoem": [2]}, "unknown fields: ['hoem']"),
+        ("rosters.json", {"home": [1, 2, 1], "away": [4]},
+         "home roster: duplicate jersey labels: [1]"),
+        ("rosters.json", {"home": [1], "away": [4, 5, 4]},
+         "away roster: duplicate jersey labels: [4]"),
     ])
     def test_invalid_entry_exits_1_naming_the_file(self, workspace, capsys, name, content,
                                                    message):
@@ -585,6 +599,20 @@ class TestInputFiles:
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert (f"error: {bundle_dir / 'truth.json'}: key {key!r} is given twice in one object"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, repeat, key, code", [
+        ("config", '"ident": {"window": 9}', "ident", 2),
+        ("config", '"tracker": {"max_age": 5, "max_age": 7}', "max_age", 2),
+        ("rosters", '"home": [1]', "home", 1),
+    ])
+    def test_repeated_key_exits_naming_the_file_and_key(self, workspace, capsys, name, repeat,
+                                                        key, code):
+        """A key given first in ``repeat`` and again in the file; json.loads keeps the last."""
+        tmp_path, config, _ = workspace
+        path = config if name == "config" else Path(json.loads(config.read_text())["paths"][name])
+        path.write_text("{" + repeat + ", " + path.read_text().lstrip()[1:])
+        assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        assert f"error: {path}: key {key!r} is given twice in one object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["vocab.json", "rosters.json", "truth.json"])
     def test_malformed_json_exits_1_naming_the_file(self, workspace, capsys, name):

@@ -139,6 +139,8 @@ class TestScenarioConfig:
         ("box_height", float("nan")),
         ("camera_width", float("inf")),
         ("jitter_sigma", -0.5),
+        ("home_roster", (2, 2, 4)),  # two players would share a number
+        ("away_roster", (5, 6, 7, 5)),
     ])
     def test_field_out_of_range_named(self, field, value):
         with pytest.raises(ValidationError, match=field):

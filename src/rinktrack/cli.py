@@ -25,8 +25,9 @@ from .ident import (
     IdentParams,
     Rosters,
     ScorerCoverageError,
-    Scorers,
     TrackIdentity,
+    gate_tracklet,
+    identify_tracklet,
     run_pipeline,
 )
 from .tracker import TrackerParams, track
@@ -261,12 +262,15 @@ def _accuracy(results: Sequence[TrackIdentity], expected: Mapping[int, int],
 
 def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: str | None,
                  bundle: sim.GroundTruthBundle | None = None) -> dict | None:
-    """Identify every tracklet in one pass and write ``identities.json``.
+    """Identify every tracklet once and write ``identities.json``.
 
-    Scores come from the run's score files, or from ``bundle``'s oracles
-    when given. Returns the accuracy of each arm: each tracklet owned by
-    ground truth is scored against the expected class of its majority
-    owner (see ``_ground_truth``; None without ground truth).
+    Scores come from ``bundle``'s oracles when given. Otherwise they come
+    from the run's score files, one large table at a time: every tracklet
+    is gated on the team and frame tables, which are freed before the
+    window table is read, so a gate error for any tracklet comes before a
+    window-file error. Returns the accuracy of each arm: each tracklet
+    owned by ground truth is scored against the expected class of its
+    majority owner (see ``_ground_truth``; None without ground truth).
     """
     path = config.path("tracks")
     vocab = core.ClassVocabulary.from_json(config.path("vocab"))
@@ -279,20 +283,23 @@ def cmd_identify(config: RunConfig, out_dir: Path, mask_rosters: bool, method: s
         raise ValidationError(f"{path}: no row has a track id (>= 0); raw detections carry -1, "
                               f"so identify needs a tracker's output")
     expected = None if truth is None else sim.expected_classes(tracks, *truth)
-    if bundle is not None:
-        # The oracles score any tracklet; the bundle's score files cover ground-truth ids only.
-        scorers = sim.oracle_scorers(bundle)
-    else:
-        # Jersey-score rows must have one entry per vocabulary class.
-        scorers = Scorers(
-            team=FileTeamScorer(config.path("team_scores")),
-            frame=FileFrameScorer(config.path("frame_scores"), vocab.num_classes),
-            window=FileWindowScorer(config.path("window_scores"), vocab.num_classes),
-        )
-
     params = config.ident if method is None else replace(config.ident, method=method)
     rosters = Rosters(*core.load_rosters(config.path("rosters"), vocab)) if mask_rosters else None
-    results = run_pipeline(tracks, scorers, rosters, vocab, params, mask_rosters=mask_rosters)
+    if bundle is not None:
+        # The oracles score any tracklet; the bundle's score files cover ground-truth ids only.
+        results = run_pipeline(tracks, sim.oracle_scorers(bundle), rosters, vocab, params,
+                               mask_rosters=mask_rosters)
+    else:
+        team_path, frame_path, window_path = map(config.path, ("team_scores", "frame_scores",
+                                                               "window_scores"))
+        # Jersey-score rows must have one entry per vocabulary class.
+        team_scorer = FileTeamScorer(team_path)
+        frame_scorer = FileFrameScorer(frame_path, vocab.num_classes)
+        gates = [gate_tracklet(trk, team_scorer, frame_scorer, params) for trk in tracks]
+        del team_scorer, frame_scorer  # freed before the window table is read
+        window_scorer = FileWindowScorer(window_path, vocab.num_classes)
+        results = [identify_tracklet(trk, team, visible, window_scorer, rosters, vocab, params,
+                                     mask_rosters) for trk, (team, visible) in zip(tracks, gates)]
 
     payload: dict = {
         "aggregation": params.method,

@@ -1,10 +1,12 @@
 """Tracklet-level team assignment and jersey-number inference.
 
-A tracklet is identified in four steps: a per-frame team vote, window
-probabilities from a sliding-window scorer, a visibility gate driven by
-an image-level scorer's null-class output, and aggregation of the
-window probabilities into one distribution ``p_jn``. Roster masks are
-applied last, multiplying ``p_jn`` elementwise before the argmax.
+A tracklet is identified in two stages. The gate (:func:`gate_tracklet`)
+reads per-frame scores: a team vote, and a visibility gate driven by an
+image-level scorer's null-class output. The window stage
+(:func:`identify_tracklet`) slides a window scorer over the tracklet and
+aggregates the window probabilities into one distribution ``p_jn``.
+Roster masks are applied last, multiplying ``p_jn`` elementwise before
+the argmax.
 
 Scorers are pluggable: anything exposing ``score_frame`` /
 ``score_window`` works, including the file-backed readers below and the
@@ -272,33 +274,49 @@ class TrackIdentity:
     identity_unmasked: int
 
 
+def gate_tracklet(tracklet: Track, team_scorer: FrameScorer, frame_scorer: FrameScorer,
+                  params: IdentParams) -> tuple[TeamLabel, bool]:
+    """The per-frame stage: the tracklet's team vote and whether its number shows."""
+    team = team_vote(tracklet, team_scorer)
+    visible = not params.visibility_filtering or jersey_visible(tracklet, frame_scorer,
+                                                                params.theta)
+    return team, visible
+
+
+def identify_tracklet(tracklet: Track, team: TeamLabel, visible: bool,
+                      window_scorer: WindowScorer, rosters: Rosters | None,
+                      vocab: ClassVocabulary, params: IdentParams,
+                      mask_rosters: bool = True) -> TrackIdentity:
+    """The window stage for a gated tracklet: window inference, aggregation, masking.
+
+    Both identities are filled (see :class:`TrackIdentity`). The aggregation
+    method only selects how the unmasked identity is produced; roster
+    masking always applies to the averaged ``p_jn``.
+    """
+    P = window_probs(tracklet, window_scorer, params)
+    unmasked, p_jn = aggregate(P, visible, vocab, method=params.method,
+                               postprocessing=params.postprocessing,
+                               strict_null_fallback=params.strict_null_fallback)
+    identity = unmasked
+    if team is TeamLabel.REFEREE:
+        identity = unmasked = REFEREE_CLASS
+    elif mask_rosters:
+        identity = identify(tracklet, team, p_jn, rosters.home, rosters.away)
+    return TrackIdentity(track_id=tracklet.track_id, team=team, identity=identity,
+                         p_jn=p_jn, identity_unmasked=unmasked)
+
+
 def run_pipeline(tracks: Iterable[Track], scorers: Scorers, rosters: Rosters | None,
                  vocab: ClassVocabulary, params: IdentParams,
                  mask_rosters: bool = True) -> list[TrackIdentity]:
-    """Team vote, window inference, visibility gate, aggregation, masking.
-
-    Each tracklet is scored once and both identities are filled (see
-    :class:`TrackIdentity`). The aggregation method only selects how the
-    unmasked identity is produced; roster masking always applies to the
-    averaged ``p_jn``.
-    """
+    """Identify each tracklet in turn: :func:`gate_tracklet`, then :func:`identify_tracklet`."""
     if mask_rosters and rosters is None:
         raise ValidationError("roster masking requested but no rosters supplied")
     results = []
     for trk in tracks:
-        team = team_vote(trk, scorers.team)
-        P = window_probs(trk, scorers.window, params)
-        visible = not params.visibility_filtering or jersey_visible(trk, scorers.frame, params.theta)
-        unmasked, p_jn = aggregate(P, visible, vocab, method=params.method,
-                                   postprocessing=params.postprocessing,
-                                   strict_null_fallback=params.strict_null_fallback)
-        identity = unmasked
-        if team is TeamLabel.REFEREE:
-            identity = unmasked = REFEREE_CLASS
-        elif mask_rosters:
-            identity = identify(trk, team, p_jn, rosters.home, rosters.away)
-        results.append(TrackIdentity(track_id=trk.track_id, team=team, identity=identity,
-                                     p_jn=p_jn, identity_unmasked=unmasked))
+        team, visible = gate_tracklet(trk, scorers.team, scorers.frame, params)
+        results.append(identify_tracklet(trk, team, visible, scorers.window, rosters, vocab,
+                                         params, mask_rosters))
     return results
 
 
@@ -317,27 +335,34 @@ def _pack(track_id: int, key: int) -> int | None:
     return None
 
 
+#: Rows per block of a :class:`ScoreFile`.
+_BLOCK_ROWS = 1024
+
+
 class ScoreFile:
-    """A JSON-lines score file, validated and packed into one array as it is read.
+    """A JSON-lines score file, validated and packed into fixed blocks as it is read.
 
     Each non-blank line ``{"track_id": T, <key_field>: K, <probs_field>: [...]}``
-    becomes one row of :attr:`values`, a read-only ``(rows, width)`` float64
-    array. The file is read once, so a named pipe works: lines are decoded
-    one at a time straight into a flat buffer, and no per-line record
-    outlives its line. Rows are found by bisecting the sorted packed
+    becomes one row of ``width`` float64 values; :meth:`get` returns it as a
+    read-only view. Rows fill ``(1024, width)`` blocks in file order, so a
+    table is built without the copies a growing buffer makes, and no block
+    is joined to another. The file is read once, so a named pipe works:
+    lines are decoded one at a time straight into a block, and no per-line
+    record outlives its line. Rows are found by bisecting the sorted packed
     ``(T, K)`` keys, which costs 16 bytes a row where a dict of tuples would
     cost more than a whole team-score line.
 
     Every row must hold JSON numbers, not booleans, and pass
     :func:`~rinktrack.core.first_bad_row`; all rows must have one width
     (``width`` if given), and no ``(T, K)`` key may repeat. A violation raises
-    :class:`ParseError` or :class:`ValidationError` naming ``path:line``.
+    :class:`ParseError` or :class:`ValidationError` naming ``path:line``; of
+    two problems found after the read, the earlier line's is raised.
     """
 
     def __init__(self, path: str | Path, key_field: str, probs_field: str,
                  width: int | None = None):
         self.path = Path(path)
-        values, keys, linenos = array("d"), array("q"), array("q")  # linenos: each row's line
+        blocks, keys, linenos = [], array("q"), array("q")  # linenos: each row's line
         with self.path.open("rb") as lines:
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
@@ -346,31 +371,41 @@ class ScoreFile:
                 try:
                     rec = json.loads(line.decode())  # UTF-8: a bad byte is a ValueError
                     track_id, key, probs = rec["track_id"], rec[key_field], rec[probs_field]
-                    values.extend(probs)
+                    entries = array("d", probs)  # numpy would also take "0.5" as a number
                 except KeyError as exc:
                     raise ParseError(f"{where}: missing field {exc}") from None
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(f"{where}: {exc}") from None
                 # array("d") takes JSON true/false as 1.0/0.0; one scan of the
                 # line's text keeps the per-entry type check off clean lines.
                 if (b"true" in line or b"false" in line) and any(type(p) is bool for p in probs):
                     raise ParseError(f"{where}: probabilities must be numbers, not booleans")
                 if width is None:
-                    width = len(probs)
-                if len(probs) != width:
-                    raise ValidationError(f"{where}: expected {width} probabilities, got {len(probs)}")
+                    width = len(entries)
+                if len(entries) != width:
+                    raise ValidationError(f"{where}: expected {width} probabilities, "
+                                          f"got {len(entries)}")
                 if type(track_id) is not int or type(key) is not int:  # int() would truncate 1.5
                     raise ParseError(f"{where}: track_id and {key_field} must be integers")
                 packed = _pack(track_id, key)
                 if packed is None:
                     raise ParseError(f"{where}: track_id or {key_field} out of range")
+                offset = len(keys) % _BLOCK_ROWS
+                if offset == 0:
+                    blocks.append(np.empty((_BLOCK_ROWS, width)))
+                blocks[-1][offset] = entries
                 keys.append(packed)
                 linenos.append(lineno)
         self.width = width or 0
-        self.values = np.frombuffer(values, dtype=float).reshape(len(keys), self.width)
-        self.values.flags.writeable = False
-
-        value_problem = first_bad_row(self.values)
+        if blocks:  # the last block holds only the rows read into it
+            blocks[-1] = blocks[-1][:len(keys) - (len(blocks) - 1) * _BLOCK_ROWS]
+        value_problem = None
+        for b, block in enumerate(blocks):
+            block.flags.writeable = False
+            problem = first_bad_row(block)
+            if problem is not None and value_problem is None:  # the earliest block's
+                value_problem = (b * _BLOCK_ROWS + problem[0], problem[1])
+        self._blocks = blocks
 
         # Sort the packed keys in place; _rows maps a sorted position to its row.
         sorted_keys = np.frombuffer(keys, dtype=np.int64)
@@ -391,6 +426,9 @@ class ScoreFile:
             raise ValidationError(f"{self.path}:{linenos[row]}: {reason}")
         self._keys = keys
 
+    def __len__(self) -> int:
+        return len(self._keys)
+
     def get(self, track_id: int, key: int) -> np.ndarray | None:
         """The row keyed ``(track_id, key)``, or None when the file has none."""
         packed = _pack(track_id, key)
@@ -398,7 +436,8 @@ class ScoreFile:
             return None
         i = bisect_left(self._keys, packed)
         if i < len(self._keys) and self._keys[i] == packed:
-            return self.values[self._rows[i]]
+            block, offset = divmod(int(self._rows[i]), _BLOCK_ROWS)
+            return self._blocks[block][offset]
         return None
 
 

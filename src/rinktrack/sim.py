@@ -355,21 +355,19 @@ class GroundTruthBundle:
                 (out / BUNDLE_FILES["window_scores"]).open("w") as window_file:
             for trk in self.gt_tracks:
                 for i, det in enumerate(trk.detections):
-                    frame_file.write(json.dumps({
-                        "track_id": trk.track_id, "frame": det.frame,
-                        "probs": frame_scorer.score_frame(trk, i).tolist(),
-                    }) + "\n")
+                    probs = _json_floats(frame_scorer.score_frame(trk, i).tolist())
+                    frame_file.write(f'{{"track_id": {trk.track_id}, "frame": {det.frame}, '
+                                     f'"probs": {probs}}}\n')
                     team_file.write(json.dumps({
                         "track_id": trk.track_id, "frame": det.frame,
                         "team_probs": team_scorer.score_frame(trk, i).tolist(),
                     }) + "\n")
                 for start in window_starts(len(trk), self.config.window, self.config.stride):
                     length = min(self.config.window, len(trk))
-                    window_file.write(json.dumps({
-                        "track_id": trk.track_id,
-                        "window_start": trk.detections[start].frame,
-                        "probs": window_scorer.score_window(trk, start, length).tolist(),
-                    }) + "\n")
+                    probs = _json_floats(window_scorer.score_window(trk, start, length).tolist())
+                    window_file.write(f'{{"track_id": {trk.track_id}, '
+                                      f'"window_start": {trk.detections[start].frame}, '
+                                      f'"probs": {probs}}}\n')
 
         truth_payload = {
             "tracks": {
@@ -391,6 +389,19 @@ class GroundTruthBundle:
         }
         (out / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest
+
+
+def _json_floats(values: list[float]) -> str:
+    """``json.dumps(values)`` for a list of floats, formatting each distinct value once.
+
+    A score row holds few distinct values. A row with an entry that is not
+    positive and finite goes through ``json.dumps``: ``0.0`` and ``-0.0``
+    share a dict key, and json spells non-finite values its own way.
+    """
+    text = {value: repr(value) for value in set(values)}  # json's spelling of a finite float
+    if not all(0.0 < value < math.inf for value in text):
+        return json.dumps(values)
+    return "[" + ", ".join([text[value] for value in values]) + "]"
 
 
 def _spread_remainder(probs: np.ndarray, exclude_null: bool) -> np.ndarray:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -490,11 +491,45 @@ class TestIdentify:
     def test_one_identification_pass(self, workspace, monkeypatch):
         tmp_path, config, _ = workspace
         calls = []
-        real = cli.run_pipeline
-        monkeypatch.setattr(cli, "run_pipeline",
-                            lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+
+        def spy(name):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda trk, *args: calls.append(
+                (name, trk.track_id, args[-1])) or real(trk, *args))
+
+        spy("gate_tracklet")
+        spy("identify_tracklet")
         assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert calls == [{"mask_rosters": True}]
+        ids = [t["track_id"] for t in
+               json.loads((tmp_path / "out" / "identities.json").read_text())["tracks"]]
+        params = cli.load_config(config).ident
+        # Each tracklet is gated once, then windowed once for the masked arm, and every
+        # gate runs before any window step: the frame and window tables are never both held.
+        assert calls == ([("gate_tracklet", tid, params) for tid in ids]
+                         + [("identify_tracklet", tid, True) for tid in ids])
+
+    def test_one_score_table_at_a_time(self, tmp_path):
+        """identify's traced peak stays below what the frame and window tables hold together."""
+        # 22 tracklets of 186 frames: 4,092 rows in each table, just under four blocks of
+        # 1,024, with 101 classes. Short tracklets keep each one's own arrays small.
+        scenario = {"players_per_team": 10, "num_referees": 2, "duration": 186, "window": 1,
+                    "vocab_labels": list(range(100))}
+        config = write_config(tmp_path / "config.json", scenario=scenario, ident={"window": 1})
+        assert main(["simulate", "--config", str(config), "--seed", "3",
+                     "--out", str(tmp_path / "bundle")]) == 0
+        paths = bundle_paths(tmp_path / "bundle")
+        config = write_config(tmp_path / "config.json", scenario=scenario, ident={"window": 1},
+                              paths={**paths, "tracks": paths["gt"]})
+        width = core.ClassVocabulary.from_json(paths["vocab"]).num_classes
+        tables = sum(8 * width * len(Path(paths[name]).read_text().splitlines())
+                     for name in ("frame_scores", "window_scores"))
+        tracemalloc.start()
+        try:
+            assert main(["identify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables, (peak, tables)
 
 
 class TestStagedIdentify:

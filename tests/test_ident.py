@@ -587,7 +587,7 @@ class TestFileScorers:
         assert scorer.score_frame(trk, 0).tolist() == [1.0, 0.0]
         assert scorer.score_frame(trk, 1).tolist() == [0.0, 1.0]
         assert scorer.score_frame(make_track(track_id=-2, length=1, start=3), 0).tolist() == [0.5, 0.5]
-        assert scorer.scores.values.shape == (3, 2)
+        assert (len(scorer.scores), scorer.scores.width) == (3, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.dictionaries(st.tuples(st.integers(-5, 5), st.integers(0, 2**32 - 1)),
@@ -630,13 +630,13 @@ class TestFileScorers:
         scorer = FileTeamScorer(path)
         trk = make_track(track_id=2, length=2)
         assert scorer.score_frame(trk, 1).tolist() == [0.8, 0.1, 0.1]
-        assert len(scorer.scores.values) == 2
+        assert len(scorer.scores) == 2
 
     def test_empty_file_covers_nothing(self, tmp_path):
         path = tmp_path / "windows.jsonl"
         path.write_text("")
         scorer = FileWindowScorer(path)
-        assert scorer.scores.values.shape == (0, 0)
+        assert (len(scorer.scores), scorer.scores.width) == (0, 0)
         with pytest.raises(ScorerCoverageError,
                            match=r"^no window score for track 1 starting at frame 0$"):
             scorer.score_window(make_track(track_id=1, length=1), 0, 1)
@@ -684,6 +684,8 @@ class TestFileScorers:
          ParseError, "not booleans"),
         (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [0.0, 0.0, true]}',
          ParseError, "not booleans"),
+        (FileFrameScorer, '{"track_id": 1, "frame": 1, "probs": [1%s, 0.0, 0.0]}' % ("0" * 400),
+         ParseError, "int too large to convert to float"),
     ])
     def test_rejection_names_file_and_line(self, tmp_path, cls, bad, error, message):
         key, field = (("window_start", "probs") if cls is FileWindowScorer
@@ -787,6 +789,57 @@ class TestOnePassRead:
             path.write_text("\n".join(changed) + "\n")
             with pytest.raises(ValidationError, match=f"^{path}:{records[bad]}: {message}"):
                 ScoreFile(path, "frame", "probs")
+
+
+class TestScoreFileBlocks:
+    """Rows fill blocks of 1024; lookups and error lines hold across block edges."""
+
+    @staticmethod
+    def _probs(i):
+        return [i / 4096, 1 - i / 4096]
+
+    def _write(self, path, n, changes=()):
+        rows = {i: {"track_id": 1, "frame": i, "probs": self._probs(i)} for i in range(n)}
+        for i, change in changes:
+            rows[i] = {**rows[i], **change}
+        path.write_text("".join(json.dumps(rows[i]) + "\n" for i in range(n)))
+
+    @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2049])
+    def test_every_row_found(self, tmp_path, n):
+        path = tmp_path / "scores.jsonl"
+        self._write(path, n)
+        scores = ScoreFile(path, "frame", "probs")
+        assert (len(scores), scores.width) == (n, 2 if n else 0)
+        for i in range(n):
+            assert scores.get(1, i).tolist() == self._probs(i)
+        assert scores.get(1, n) is None
+        assert scores.get(2, 0) is None
+
+    def test_rows_beside_a_block_edge(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        self._write(path, 1025)
+        scores = ScoreFile(path, "frame", "probs")
+        last, first = scores.get(1, 1023), scores.get(1, 1024)
+        assert (last.tolist(), first.tolist()) == (self._probs(1023), self._probs(1024))
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    # (bad row, repeated row): the earlier one's line is named, in whichever block.
+    @pytest.mark.parametrize("bad, repeat", [
+        (1500, None), (None, 2000), (1500, 2000), (2000, 1100), (1030, 5), (3, 2048),
+    ])
+    def test_earliest_problem_named(self, tmp_path, bad, repeat):
+        changes = []
+        if bad is not None:
+            changes += [(bad, {"probs": [0.5, 0.6]}), (2048, {"probs": [0.9, 0.9]})]
+        if repeat is not None:
+            changes.append((repeat, {"frame": 2}))
+        path = tmp_path / "scores.jsonl"
+        self._write(path, 2049, changes)
+        first = min(i for i in (bad, repeat) if i is not None)
+        message = "probabilities must sum" if first == bad else r"duplicate key .*first on line 3\)"
+        with pytest.raises(ValidationError, match=f"^{path}:{first + 1}: {message}"):
+            ScoreFile(path, "frame", "probs")
 
 
 class TestRunPipeline:

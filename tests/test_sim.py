@@ -41,6 +41,7 @@ from rinktrack.sim import (
     GroundTruthIndex,
     ScenarioConfig,
     TrackTruth,
+    _json_floats,
     _simulate_paths,
     expected_classes,
     generate,
@@ -877,6 +878,19 @@ class TestEmittedFiles:
             assert Path(path).exists()
         assert json.loads((tmp_path / "bundle.json").read_text()) == manifest
 
+    @pytest.mark.parametrize("values", [
+        [], [0.25, 0.75, 0.25], [0.0, -0.0], [-0.0, 0.0, 1.0], [-0.5, 1.5], [1e-300, 5e-324],
+        [float("nan"), 1.0], [float("inf"), float("-inf")], [1 / 3] * 4,
+    ])
+    def test_score_row_text_is_json(self, values):
+        assert _json_floats(values) == json.dumps(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.7, 1.0, float("nan"), float("inf")])
+                    | st.floats(), max_size=12))
+    def test_any_float_row_text_is_json(self, values):
+        assert _json_floats(values) == json.dumps(values)
+
 
 class TestScoreFileMemory:
     """Score files stream: neither end holds a whole file's text or records."""
@@ -901,7 +915,7 @@ class TestScoreFileMemory:
     def test_load_peak_below_file_size(self, bundle_dir, cls, name):
         path = bundle_dir / name
         scorer, peak = traced_peak(lambda: cls(path))
-        assert len(scorer.scores.values) == len(path.read_text().splitlines())
+        assert len(scorer.scores) == len(path.read_text().splitlines())
         assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 

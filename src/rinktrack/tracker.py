@@ -46,7 +46,7 @@ class TrackerParams:
                     is_number(v) and math.isfinite(v) and v >= 0 for v in value)):
                 raise ValidationError(
                     f"{name} must hold {size} finite numbers >= 0, got {value!r}")
-        # Keeps the innovation covariance H P H^T + R positive definite after every predict.
+        # Keeps each innovation variance a + r, d + r above 0 after every predict.
         if not all(q + r > 0 for q, r in zip(self.process_noise, self.measurement_noise)):
             raise ValidationError(
                 f"process_noise and measurement_noise must not both be 0 on a measured "
@@ -152,54 +152,57 @@ def hungarian(cost: np.ndarray | Sequence[Sequence[float]]) -> list[tuple[int, i
 # ---------------------------------------------------------------------------
 # Constant-velocity Kalman filter over [cx, cy, area, aspect, vcx, vcy, varea]
 # ---------------------------------------------------------------------------
+#
+# The initial, process and measurement covariances are diagonal, and the
+# motion couples only (cx, vcx), (cy, vcy) and (area, varea), so every
+# covariance the filter reaches is four blocks; all other entries are 0.
+# A state holds n tracks as one row each: (mean (n, 7), a, b, c (n, 3), d (n,)),
+# where for i in (cx, cy, area) a = P[i, i], b = P[i, i + 4], c = P[i + 4, i + 4],
+# and d = P[aspect, aspect]. Every step is elementwise, so a row's values do
+# not depend on the other rows.
 
-_F = np.eye(7)
-_F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
-_H = np.zeros((4, 7))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-_I = np.eye(7)
+KalmanState = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def box_to_measurement(box: BoundingBox) -> np.ndarray:
-    cx, cy = box.center
-    return np.array([cx, cy, box.area, box.w / box.h])
+def kf_initiate(z: np.ndarray, p0: np.ndarray) -> KalmanState:
+    """States at rest at the (n, 4) measurements ``z``, covariance diag(``p0``)."""
+    n = len(z)
+    p = np.repeat(p0[None], n, axis=0)
+    return np.concatenate((z, np.zeros((n, 3))), axis=1), p[:, :3], np.zeros((n, 3)), p[:, 4:], p[:, 3]
 
 
-def state_to_box(mean: np.ndarray) -> BoundingBox:
-    cx, cy, s, r = mean[:4]
-    s = max(float(s), 1.0)
-    r = max(float(r), 1e-6)
-    w = (s * r) ** 0.5
+def kf_predict(state: KalmanState, q: np.ndarray) -> KalmanState:
+    """Advance one frame under constant velocity and grow the covariance by diag(``q``)."""
+    mean, a, b, c, d = state
+    mean = np.concatenate((mean[:, :3] + mean[:, 4:], mean[:, 3:]), axis=1)
+    mean[:, 2] = np.maximum(mean[:, 2], 1.0)  # area kept positive so the box stays valid
+    return mean, (a + b) + (b + c) + q[:3], b + c, c + q[4:], d + q[3]
+
+
+def kf_update(state: KalmanState, z: np.ndarray, r: np.ndarray) -> KalmanState:
+    """Correct each row of ``state`` by the same row of the (n, 4) measurements ``z``."""
+    mean, a, b, c, d = state
+    variance = np.column_stack((a, d))
+    inv = 1.0 / (variance + r)
+    k = variance * inv
+    kv = b * inv[:, :3]
+    e = z - mean[:, :4]
+    mean = np.concatenate((mean[:, :4] + k * e, mean[:, 4:] + kv * e[:, :3]), axis=1)
+    mean[:, 2] = np.maximum(mean[:, 2], 1.0)
+    keep = 1.0 - k[:, :3]
+    # The off-diagonal mean of P[i, i + 4] and P[i + 4, i] keeps the covariance symmetric.
+    return mean, keep * a, (keep * b + (b - kv * a)) / 2.0, c - kv * b, (1.0 - k[:, 3]) * d
+
+
+def state_to_box(mean: np.ndarray) -> np.ndarray:
+    """The box of each row of ``mean``, as (n, 4) corner rows [x, y, x2, y2]."""
+    s = np.maximum(mean[:, 2], 1.0)
+    # float_power is the C library's pow, as Python's float ** 0.5 is; an
+    # array's ** 0.5 is sqrt, which differs from pow in the last bit on some inputs.
+    w = np.float_power(s * np.maximum(mean[:, 3], 1e-6), 0.5)
     h = s / w
-    return BoundingBox(x=cx - w / 2.0, y=cy - h / 2.0, w=w, h=h)
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
-
-
-def kf_initiate(box: BoundingBox, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.zeros(7)
-    mean[:4] = box_to_measurement(box)
-    return mean, p0
-
-
-def kf_predict(mean: np.ndarray, cov: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one frame under constant velocity and grow the covariance by ``q``."""
-    mean = _F @ mean
-    mean[2] = max(mean[2], 1.0)  # area kept positive so the box stays valid
-    return mean, _symmetrize(_F @ cov @ _F.T + q)
-
-
-def kf_update(mean: np.ndarray, cov: np.ndarray, box: BoundingBox,
-              r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = box_to_measurement(box)
-    s = _H @ cov @ _H.T + r
-    gain = np.linalg.solve(s.T, (_H @ cov.T)).T
-    innovation = z - _H @ mean
-    mean = mean + gain @ innovation
-    mean[2] = max(mean[2], 1.0)
-    return mean, _symmetrize((_I - gain @ _H) @ cov)
+    x, y = mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0
+    return np.column_stack((x, y, x + w, y + h))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +213,6 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, box: BoundingBox,
 @dataclass
 class _LiveTrack:
     track_id: int
-    mean: np.ndarray
-    cov: np.ndarray
     hit_streak: int = 1
     time_since_update: int = 0
     recorded: list[Detection] = field(default_factory=list)
@@ -222,11 +223,10 @@ class SortTracker:
 
     def __init__(self, params: TrackerParams | None = None):
         params = self.params = params or TrackerParams()
-        # Built once; no filter call writes a covariance in place, so new tracks share _p0.
-        self._p0, self._q, self._r = (np.diag(np.array(d, dtype=float)) for d in (
+        self._p0, self._q, self._r = (np.array(d, dtype=float) for d in (
             params.initial_covariance, params.process_noise, params.measurement_noise))
-        self._p0.flags.writeable = False
         self._live: list[_LiveTrack] = []
+        self._state = kf_initiate(np.zeros((0, 4)), self._p0)  # row i is self._live[i]
         self._finished: list[_LiveTrack] = []
         self._next_id = 1
         self._frames_seen = 0
@@ -257,50 +257,48 @@ class SortTracker:
         params = self.params
         self._frames_seen += 1
         detections = [d for d in detections if d.confidence >= params.confidence_threshold]
+        x, y, w, h = np.array([(d.box.x, d.box.y, d.box.w, d.box.h)
+                               for d in detections], dtype=float).reshape(-1, 4).T
+        z = np.column_stack((x + w / 2.0, y + h / 2.0, w * h, w / h))
 
-        for trk in self._live:
-            trk.mean, trk.cov = kf_predict(trk.mean, trk.cov, self._q)
+        state = kf_predict(self._state, self._q)
+        overlap = iou_corners(state_to_box(state[0]), np.column_stack((x, y, x + w, y + h)))
+        matches = {ti: di for ti, di in hungarian(1.0 - overlap)  # live row -> detection index
+                   if overlap[ti, di] >= params.iou_threshold}
+        rows, cols = list(matches), list(matches.values())
+        updated = kf_update(tuple(column[rows] for column in state), z[cols], self._r)
+        for column, value in zip(state, updated):
+            column[rows] = value
 
-        matches: list[tuple[int, int]] = []
-        unmatched_dets = set(range(len(detections)))
-        if self._live and detections:
-            predicted = [state_to_box(trk.mean) for trk in self._live]
-            overlap = iou_matrix(predicted, [d.box for d in detections])
-            for ti, di in hungarian(1.0 - overlap):
-                if overlap[ti, di] >= params.iou_threshold:
-                    matches.append((ti, di))
-                    unmatched_dets.discard(di)
-        matched_tracks = {ti for ti, _ in matches}
-
-        for ti, di in matches:
-            trk = self._live[ti]
-            det = detections[di]
-            trk.mean, trk.cov = kf_update(trk.mean, trk.cov, det.box, self._r)
-            trk.hit_streak += 1
-            trk.time_since_update = 0
-            if trk.hit_streak >= params.min_hits or self._frames_seen <= params.min_hits:
-                # Matched boxes are reported as observed; the filter only
-                # steers association.
-                trk.recorded.append(det)
-
-        survivors: list[_LiveTrack] = []
+        keep: list[int] = []
         for ti, trk in enumerate(self._live):
-            if ti not in matched_tracks:
+            di = matches.get(ti)
+            if di is None:
                 trk.time_since_update += 1
                 trk.hit_streak = 0
+            else:
+                trk.hit_streak += 1
+                trk.time_since_update = 0
+                if trk.hit_streak >= params.min_hits or self._frames_seen <= params.min_hits:
+                    # Matched boxes are reported as observed; the filter only
+                    # steers association.
+                    trk.recorded.append(detections[di])
             if trk.time_since_update > params.max_age:
                 self._finished.append(trk)
             else:
-                survivors.append(trk)
-        self._live = survivors
+                keep.append(ti)
 
-        for di in sorted(unmatched_dets):
-            det = detections[di]
-            trk = _LiveTrack(self._next_id, *kf_initiate(det.box, self._p0))
+        self._live = [self._live[ti] for ti in keep]
+        taken = set(cols)
+        born = [di for di in range(len(detections)) if di not in taken]
+        for di in born:
+            trk = _LiveTrack(self._next_id)
             self._next_id += 1
             if self._frames_seen <= params.min_hits:
-                trk.recorded.append(det)
+                trk.recorded.append(detections[di])
             self._live.append(trk)
+        self._state = tuple(np.concatenate((column[keep], new)) for column, new in
+                            zip(state, kf_initiate(z[born], self._p0)))
 
     def finish(self) -> list[Track]:
         tracks = []

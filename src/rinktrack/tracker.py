@@ -152,14 +152,11 @@ def hungarian(cost: np.ndarray | Sequence[Sequence[float]]) -> list[tuple[int, i
 # ---------------------------------------------------------------------------
 # Constant-velocity Kalman filter over [cx, cy, area, aspect, vcx, vcy, varea]
 # ---------------------------------------------------------------------------
-#
-# The initial, process and measurement covariances are diagonal, and the
-# motion couples only (cx, vcx), (cy, vcy) and (area, varea), so every
-# covariance the filter reaches is four blocks; all other entries are 0.
-# A state holds n tracks as one row each: (mean (n, 7), a, b, c (n, 3), d (n,)),
-# where for i in (cx, cy, area) a = P[i, i], b = P[i, i + 4], c = P[i + 4, i + 4],
-# and d = P[aspect, aspect]. Every step is elementwise, so a row's values do
-# not depend on the other rows.
+# The noise covariances are diagonal and the motion couples only (cx, vcx),
+# (cy, vcy) and (area, varea), so every covariance P the filter reaches is four
+# blocks and 0 elsewhere. A state has one row per track: (mean (n, 7), a, b, c
+# (n, 3), d (n,)), with a = P[i, i], b = P[i, i + 4], c = P[i + 4, i + 4] for i in
+# (cx, cy, area) and d = P[aspect, aspect]. Every step is elementwise per row.
 
 KalmanState = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -289,8 +286,7 @@ class SortTracker:
                 keep.append(ti)
 
         self._live = [self._live[ti] for ti in keep]
-        taken = set(cols)
-        born = [di for di in range(len(detections)) if di not in taken]
+        born = sorted(set(range(len(detections))) - set(cols))
         for di in born:
             trk = _LiveTrack(self._next_id)
             self._next_id += 1

@@ -346,7 +346,7 @@ class TestKalman:
         for boxes in frames:
             refs = [ref_predict(ref, params) for ref in refs]
             state = kf_predict(state, q)
-            rows = [row for row, box in zip(range(len(refs)), boxes) if box is not None]
+            rows = [row for row, box in enumerate(boxes[:len(refs)]) if box is not None]
             for row in rows:
                 refs[row] = ref_update(refs[row], boxes[row], params)
             updated = kf_update(tuple(column[rows] for column in state),
